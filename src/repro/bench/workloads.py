@@ -131,10 +131,9 @@ LANES_INSTRUCTIONS = 1_000
 LANES_SEED = 12345
 
 #: Guest-image size for the lane sweep, applied to the serial baseline
-#: and the batch alike.  Right-sizing matters: with N lanes co-resident,
-#: image footprint -- not interleaving -- drives the batch's memory-system
-#: cost (allocator churn, LLC/TLB pressure); 64 MB holds the KR18
-#: working set with slack and keeps an 8-lane batch around half a GB.
+#: and the batch alike; 64 MB holds the KR18 working set with slack.  An
+#: image costs RSS only for the pages a lane touches, so the size bounds
+#: each lane's address space, not the batch's footprint.
 LANES_MEMORY_BYTES = 64 * 1024 * 1024
 
 

@@ -15,11 +15,11 @@ Construction is where a batch beats N serial runs: specs that differ
 only in technique share one built workload.  The first lane to need a
 ``(workload, params, seed, inputs, memory_bytes)`` template builds it;
 later lanes clone it (program and metadata are immutable after build,
-so a clone is one flat copy of the guest-memory word list instead of a
-full rebuild -- for graph workloads that skips graph generation, CSR
-layout and the zero-fill of a multi-hundred-MB image).  The last user
-of a template takes ownership of the pristine original, so nothing is
-copied that doesn't have to be.
+so a clone is a fresh guest image holding a copy of the template's
+allocated words instead of a full rebuild -- for graph workloads that
+skips graph generation and CSR layout).  The last user of a template
+takes ownership of the pristine original, so nothing is copied that
+doesn't have to be.
 
 A lane that raises (model bug, sanitizer assertion) is marked failed
 and detached; the other lanes' metrics are unaffected.  The caller
@@ -63,24 +63,16 @@ def clone_built(built):
     """Fresh, independently mutable copy of a built workload.
 
     The program and metadata never change after build; only guest memory
-    is written during simulation, so a clone is a flat copy of the word
-    list -- no data generation.  Builds only write through the bump
-    allocator, so everything above the allocation high-water mark is
-    still zero in a pristine template; for the typical mostly-empty
-    image, zero-filling and copying just the used prefix beats copying
-    tens of millions of zero slots.
+    is written during simulation, so a clone is a fresh image holding a
+    copy of the template's memory -- no data generation.  Builds only
+    write through the bump allocator, so everything above the allocation
+    high-water mark is still zero in a pristine template and only the
+    allocated prefix needs copying.
     """
     src = built.memory
-    mem = GuestMemory.__new__(GuestMemory)
-    mem.size_bytes = src.size_bytes
-    mem.num_words = src.num_words
+    mem = GuestMemory(src.size_bytes)
     high_water = (src._next_free + WORD_BYTES - 1) // WORD_BYTES
-    if high_water * 3 < src.num_words:
-        words = [0] * src.num_words
-        words[:high_water] = src.words[:high_water]
-        mem.words = words
-    else:
-        mem.words = src.words.copy()
+    mem.words[:high_water] = src.words[:high_water]
     mem._next_free = src._next_free
     return BuiltWorkload(built.name, built.program, mem,
                          metadata=dict(built.metadata),
@@ -173,12 +165,12 @@ class LaneBatch:
         live = []
         perf_counter = time.perf_counter
         step = self.step
-        # Cyclic GC pauses scale with the number of live objects, and a
-        # batch keeps N whole guest-memory images (tens of millions of
-        # list slots each) resident at once -- automatic collections run
-        # mid-batch cost more than the simulation itself.  Lane teardown
-        # frees everything big by refcount, so collection is deferred to
-        # batch end (same discipline as the bench harness's timed runs).
+        # Cyclic GC pauses scale with the number of live container
+        # objects, and a batch keeps N sims' predictor and cache tables
+        # resident at once (a guest image is one buffer and costs the
+        # collector nothing).  Lane teardown frees everything big by
+        # refcount, so collection is deferred to batch end (same
+        # discipline as the bench harness's timed runs).
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

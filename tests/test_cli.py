@@ -230,11 +230,23 @@ class TestBenchCommand:
     def test_bench_smoke_writes_report(self, capsys, tmp_path, monkeypatch):
         import json
         import os
+
+        from repro.bench import harness
         # One cheap case, one repeat: exercises the full path end to end.
         monkeypatch.setattr("repro.bench.harness.SCALE_INSTRUCTIONS",
                             {"smoke": 500, "small": 500, "full": 500})
         monkeypatch.setattr("repro.bench.harness.SMOKE_MATRIX",
                             (("nas-is", "ooo"),))
+        # Every run reads the same wall time, so the two reports differ
+        # only if the simulation does -- host noise on a 500-instruction
+        # run can exceed the regression threshold on its own.
+        time_once = harness._time_once
+
+        def fixed_wall(workload, config, repeats):
+            _, stats = time_once(workload, config)
+            return 0.01, stats
+
+        monkeypatch.setattr("repro.bench.harness._time_best", fixed_wall)
         bench_dir = str(tmp_path / "benchmarks")
         assert main(["bench", "--scale", "smoke", "--repeats", "1",
                      "--label", "t", "--bench-dir", bench_dir]) == 0

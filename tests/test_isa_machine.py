@@ -1,5 +1,9 @@
 """Tests for guest memory and the architectural execution semantics."""
 
+import gc
+import multiprocessing
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -51,6 +55,53 @@ class TestGuestMemory:
     def test_size_must_be_word_multiple(self):
         with pytest.raises(ValueError):
             GuestMemory(1001)
+
+    @pytest.mark.parametrize("value", [2 ** 63, -(2 ** 63) - 1])
+    def test_write_word_keeps_low_64_bits(self, value):
+        mem = GuestMemory(1 << 12)
+        mem.write_word(64, value)
+        assert mem.read_word(64) == to_signed64(value)
+
+    @pytest.mark.parametrize("values", [
+        np.array([5, -1, 2 ** 62, -(2 ** 63)], dtype=np.int64),
+        np.arange(40, dtype=np.int64)[3::7],            # strided view
+        np.arange(12, dtype=np.int64).reshape(3, 4)[:, 1],
+        np.array([1, 0, 1], dtype=np.bool_),
+        np.array([7, -7], dtype=np.int32),
+        [3, -1, 4, 1, 5],
+        (9, 2 ** 63 - 1),
+        [],
+    ])
+    def test_alloc_array_read_array_roundtrip(self, values):
+        mem = GuestMemory(1 << 16)
+        expected = [int(v) for v in values]
+        base = mem.alloc_array(values)
+        got = mem.read_array(base, len(expected))
+        assert type(got) is list and got == expected
+        assert mem.read_word(base + len(expected) * 8) == 0
+
+    def test_image_is_one_gc_referent(self):
+        mem = GuestMemory(256 * 1024 * 1024)
+        assert len(gc.get_referents(mem.words)) <= 1
+
+    def test_forked_child_writes_stay_private(self):
+        mem = GuestMemory(1 << 20)
+        base = mem.alloc_array([11, 22, 33])
+        ctx = multiprocessing.get_context("fork")
+        child = ctx.Process(target=_scribble, args=(mem, base))
+        child.start()
+        child.join(30)
+        assert child.exitcode == 0
+        assert mem.read_array(base, 3) == [11, 22, 33]
+        assert mem.read_word((1 << 20) - 8) == 0
+
+
+def _scribble(mem, base):
+    """Fork child: overwrite the parent's allocations and the last word."""
+    for k in range(3):
+        mem.write_word(base + 8 * k, -1)
+    mem.write_word(mem.size_bytes - 8, 99)
+    assert mem.read_word(base) == -1
 
 
 def _exec_one(op, rd=-1, rs1=-1, rs2=-1, rs3=-1, imm=0, target=-1,
@@ -159,6 +210,17 @@ class TestExecuteMemory:
         assert mem.read_word(80) == -9
         _exec_one(Op.STORE, rs1=1, rs3=3, imm=0, regs=regs, mem=mem)
         assert mem.read_word(64) == -9
+
+    @pytest.mark.parametrize("value", [2 ** 63, -(2 ** 63) - 1])
+    @pytest.mark.parametrize("op", [Op.STORE, Op.STOREX])
+    def test_store_keeps_low_64_bits(self, op, value):
+        mem = GuestMemory(1 << 16)
+        regs = [0] * 32
+        regs[1], regs[2], regs[3] = 64, 2, value
+        _, addr, _, _ = _exec_one(op, rs1=1, rs2=2, rs3=3, imm=8,
+                                  regs=regs, mem=mem)
+        assert mem.read_word(addr) == to_signed64(value)
+        assert regs[3] == value          # the register keeps its value
 
     def test_load_out_of_bounds_faults(self):
         regs = [0] * 32

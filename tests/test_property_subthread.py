@@ -76,7 +76,7 @@ def test_subthread_robust_on_random_kernels(spec, lanes, flow,
     subthread = VectorSubthread(program, mem, hierarchy, config.core,
                                 config.dvr, source="dvr", flow=flow,
                                 stats=SubthreadStats())
-    snapshot = list(mem.words)
+    snapshot = mem.words.tobytes()
     flr = 4 + spec["chain_depth"] if spec["chain_depth"] else -1
     subthread.spawn(4, 8, base + 64, regs, lanes, flr_pc=flr,
                     terminate_at_stride=terminate_at_stride)
@@ -93,6 +93,6 @@ def test_subthread_robust_on_random_kernels(spec, lanes, flow,
     assert stats.instructions <= config.dvr.subthread_timeout + 1
     assert stats.lane_loads_issued <= (stats.instructions + 1) * lanes
     # Speculation never mutates guest memory.
-    assert mem.words == snapshot
+    assert mem.words.tobytes() == snapshot
     # The VRAT returned everything to the free lists.
     assert subthread.vrat.free_vector_regs == config.core.phys_vec_regs
