@@ -179,8 +179,7 @@ def cmd_bench(args):
                        repeats=args.repeats,
                        fast_forward=not args.no_fast_forward,
                        profile=args.profile,
-                       progress=lambda line: print(line, file=sys.stderr),
-                       lanes=args.lanes or 8)
+                       progress=lambda line: print(line, file=sys.stderr))
     print(render_report(report))
     path = write_report(report, args.label, bench_dir=args.bench_dir)
     print(f"[saved -> {path}]")
@@ -345,8 +344,6 @@ def cmd_cluster(args):
             return 2
         from .cluster import Worker
         kwargs = {"max_jobs": args.max_jobs, "reconnect": args.reconnect}
-        if args.lanes:
-            kwargs["lanes"] = args.lanes
         if args.secret:              # else fall back to $REPRO_CLUSTER_SECRET
             kwargs["secret"] = args.secret
         tls = _client_tls(args)
@@ -401,7 +398,7 @@ def cmd_serve(args):
     daemon = ServeDaemon(host=host, port=port, store=store,
                          ledger=context.ledger, tls=tls,
                          job_timeout=args.job_timeout, **kwargs)
-    daemon.start(workers=args.workers, lanes=args.lanes)
+    daemon.start(workers=args.workers)
     print(f"[serve] daemon on {daemon.address} "
           f"(tls={'on' if tls else 'off'}, "
           f"store={store_dir or 'disabled'}, "
@@ -619,18 +616,12 @@ def main(argv=None):
                         help="cache prune: evict oldest current-generation "
                              "entries until the generation fits in N bytes")
     parser.add_argument("--backend",
-                        choices=("local", "lanes", "cluster", "serve"),
+                        choices=("local", "cluster", "serve"),
                         default="local",
                         help="executor backend for sweeps: `local` process "
-                             "pool (default), `lanes` in-process batch "
-                             "lanes (--lanes), `cluster` TCP workers, or "
+                             "pool (default), `cluster` TCP workers, or "
                              "`serve` (submit to a running daemon; "
                              "--connect)")
-    parser.add_argument("--lanes", type=int, default=0, metavar="N",
-                        help="batch-lane width: run up to N sims in "
-                             "lockstep inside one process (implies "
-                             "--backend lanes; also sets a cluster "
-                             "worker's lane capacity)")
     parser.add_argument("--workers", type=int, default=2, metavar="N",
                         help="cluster backend / serve daemon: loopback "
                              "worker processes to spawn (0 = wait for "
@@ -728,8 +719,7 @@ def main(argv=None):
         serve=serve_options,
         store=args.store,
         resume=args.resume,
-        on_failure="report" if args.keep_going else "raise",
-        lanes=args.lanes)
+        on_failure="report" if args.keep_going else "raise")
 
     try:
         if args.command == "list":

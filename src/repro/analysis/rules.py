@@ -78,8 +78,8 @@ _GLOBAL_NP_RANDOM_FUNCS = frozenset({
 #: wall-clock reads are legitimate: infrastructure that measures host
 #: time, never simulated time.
 TIME_EXEMPT_PREFIXES = ("jobs/", "bench/", "analysis/", "cluster/",
-                        "faults/", "serve/", "lanes/", "tests/",
-                        "benchmarks/", "__main__")
+                        "faults/", "serve/", "tests/", "benchmarks/",
+                        "__main__")
 
 #: Base classes that mark a class as a runahead engine for the
 #: quiescence-contract rule, plus a naming convention fallback.

@@ -8,9 +8,8 @@ a percentage regression threshold.
 """
 
 from .harness import (compare_reports, load_report, render_report,
-                      run_bench, run_lanes_sweep, write_report)
-from .workloads import (SMOKE_MATRIX, bench_config, build_case, build_chase,
-                        lanes_sweep_specs, register_lanes_graph)
+                      run_bench, write_report)
+from .workloads import SMOKE_MATRIX, bench_config, build_case, build_chase
 
 __all__ = [
     "SMOKE_MATRIX",
@@ -18,11 +17,8 @@ __all__ = [
     "build_case",
     "build_chase",
     "compare_reports",
-    "lanes_sweep_specs",
     "load_report",
-    "register_lanes_graph",
     "render_report",
     "run_bench",
-    "run_lanes_sweep",
     "write_report",
 ]

@@ -29,9 +29,9 @@ from .workloads import SCALE_INSTRUCTIONS, SMOKE_MATRIX, bench_config, \
     build_case
 
 #: Schema 2 adds per-case sanitized timings (wall_s_sanitize /
-#: sanitize_overhead) and the equivalent totals.  Schema 3 adds the
-#: optional ``lanes_sweep`` section (batch-lane vs serial aggregate
-#: wall-clock over the pinned lane matrix) and free-form ``notes``.
+#: sanitize_overhead) and the equivalent totals.  Schema 3 adds
+#: free-form ``notes``; older schema-3 reports also carry a
+#: ``lanes_sweep`` section, which still loads and is ignored.
 SCHEMA = 3
 #: Regression gate metric: simulated cycles per host second, aggregated
 #: over the matrix with fast-forward on (the configuration users run).
@@ -81,75 +81,8 @@ def _profile_case(workload, config, top):
     return rows
 
 
-def run_lanes_sweep(lanes=8, step=None, progress=None):
-    """Time the pinned lane matrix serial vs batched; returns a section.
-
-    Protocol (warm/warm): graph generation is input loading, not
-    simulation, so the in-process CSR cache is pre-warmed by building
-    each template once before either side is timed.  The serial side is
-    the executor's reference path (one :func:`run_spec` per spec); the
-    batch side is one :class:`LaneBatch` over the same specs.  The two
-    sides' Metrics are compared field-by-field -- a mismatch is a bug,
-    not a statistic, and raises.
-    """
-    from ..harness.metrics import _FIELDS
-    from ..harness.runner import build_spec_workload, run_spec
-    from ..lanes import DEFAULT_STEP, LaneBatch, template_key
-    from .workloads import lanes_sweep_specs
-
-    if step is None:
-        step = DEFAULT_STEP
-    specs = lanes_sweep_specs()
-    warmed = set()
-    for spec in specs:
-        key = template_key(spec)
-        if key not in warmed:
-            warmed.add(key)
-            if progress:
-                progress(f"lanes sweep: warming {spec.label} ...")
-            build_spec_workload(spec)    # discarded; warms the CSR cache
-
-    if progress:
-        progress(f"lanes sweep: serial x{len(specs)} ...")
-    gc.collect()
-    start = time.perf_counter()
-    serial = [run_spec(spec) for spec in specs]
-    wall_serial = time.perf_counter() - start
-
-    if progress:
-        progress(f"lanes sweep: lanes={lanes} x{len(specs)} ...")
-    batch = LaneBatch(specs, lanes=lanes, step=step)
-    gc.collect()
-    start = time.perf_counter()
-    batched = batch.run()
-    wall_lanes = time.perf_counter() - start
-
-    for spec, reference, lane in zip(specs, serial, batched):
-        if lane.status != "done":
-            raise AssertionError(
-                f"lanes sweep: {spec.label}/{spec.technique} failed in "
-                f"the batch: {lane.error!r}")
-        for name in _FIELDS:
-            if getattr(reference, name) != getattr(lane.metrics, name):
-                raise AssertionError(
-                    f"lanes sweep: {spec.label}/{spec.technique} field "
-                    f"{name!r} diverged: serial "
-                    f"{getattr(reference, name)!r} vs lanes "
-                    f"{getattr(lane.metrics, name)!r}")
-    return {
-        "lanes": lanes,
-        "step": step,
-        "specs": len(specs),
-        "templates": len(warmed),
-        "wall_s_serial": round(wall_serial, 4),
-        "wall_s_lanes": round(wall_lanes, 4),
-        "lanes_speedup": round(wall_serial / wall_lanes, 3),
-        "identical": True,
-    }
-
-
 def run_bench(scale="smoke", repeats=3, fast_forward=True, profile=False,
-              profile_top=15, matrix=None, progress=None, lanes=0):
+              profile_top=15, matrix=None, progress=None):
     """Time the pinned matrix; returns the report dict.
 
     Each case is timed with fast-forward on *and* off so the report
@@ -230,9 +163,6 @@ def run_bench(scale="smoke", repeats=3, fast_forward=True, profile=False,
     }
     if profiles:
         report["profiles"] = profiles
-    if lanes:
-        report["lanes_sweep"] = run_lanes_sweep(lanes=lanes,
-                                                progress=progress)
     return report
 
 
@@ -283,19 +213,6 @@ def compare_reports(current, baseline, threshold_pct=25.0):
     if not ok:
         lines.append(f"REGRESSION: throughput dropped {-delta_pct:.1f}% "
                      f"(> {threshold_pct:.0f}% threshold)")
-    cur_sweep = current.get("lanes_sweep")
-    base_sweep = baseline.get("lanes_sweep")
-    if cur_sweep and base_sweep:
-        cur_speedup = cur_sweep["lanes_speedup"]
-        base_speedup = base_sweep["lanes_speedup"]
-        sweep_delta = (cur_speedup - base_speedup) / base_speedup * 100.0
-        lines.append(f"lanes speedup: {cur_speedup:.2f}x vs baseline "
-                     f"{base_speedup:.2f}x ({sweep_delta:+.1f}%)")
-        if sweep_delta < -threshold_pct:
-            ok = False
-            lines.append(f"REGRESSION: lanes speedup dropped "
-                         f"{-sweep_delta:.1f}% "
-                         f"(> {threshold_pct:.0f}% threshold)")
     return ok, lines
 
 
@@ -324,15 +241,6 @@ def render_report(report):
         f"{'TOTAL':18s} {totals['wall_s']:8.3f} "
         f"{totals['wall_s_no_ff']:8.3f} {totals['ff_speedup']:7.2f}x "
         f"{total_san_text} {totals['cycles_per_sec']:12,.0f}")
-    sweep = report.get("lanes_sweep")
-    if sweep:
-        lines.append(
-            f"lanes sweep: {sweep['specs']} spec(s) over "
-            f"{sweep['templates']} template(s); serial "
-            f"{sweep['wall_s_serial']:.2f}s, lanes={sweep['lanes']} "
-            f"{sweep['wall_s_lanes']:.2f}s -> "
-            f"{sweep['lanes_speedup']:.2f}x, "
-            f"{'bit-identical' if sweep['identical'] else 'DIVERGED'}")
     for note in report.get("notes", []):
         lines.append(f"note: {note}")
     return "\n".join(lines)

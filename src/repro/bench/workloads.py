@@ -98,73 +98,3 @@ def build_case(workload, config, seed=12345):
         return build_chase()
     return make_workload(workload).build(
         memory_bytes=config.memsys.guest_memory_bytes, seed=seed)
-
-
-# ----------------------------------------------------------------------
-# The pinned batch-lane sweep (schema 3)
-# ----------------------------------------------------------------------
-#: One shared graph input for the lane sweep: a scale-18 RMAT with
-#: Graph500 skew.  Big enough that building it (generation + CSR layout
-#: + image fill, ~2.4s) dwarfs a short simulation -- the
-#: regime where template sharing between lanes pays -- while its CSR
-#: still fits a 64 MB guest image with room for vertex-sized kernel
-#: arrays (bfs, pr; sssp's edge-sized weights array does not fit).
-LANES_GRAPH = {"name": "KR18", "kind": "rmat", "log2_nodes": 18,
-               "avg_degree": 16, "a": 0.57, "b": 0.19, "c": 0.19}
-
-#: (workload, graph) cases of the lane sweep.
-LANES_CASES = (("bfs", "KR18"), ("pr", "KR18"))
-
-#: Techniques swept per case: the full comparison set plus the DVR
-#: ablation variants -- sixteen sims per built workload template.
-LANES_TECHNIQUES = ("ooo", "pre", "imp", "vr", "dvr", "dvr-offload",
-                    "dvr-discovery", "oracle")
-
-#: ROB sizes swept per technique (uarch axes multiply template sharing:
-#: the config is not part of the build identity).
-LANES_ROB_SIZES = (192, 320)
-
-#: Short runs on purpose: the sweep isolates the construction overhead
-#: that lanes amortize.  Long runs converge both sides to pure
-#: simulation time (which is identical by design) and measure nothing.
-LANES_INSTRUCTIONS = 1_000
-LANES_SEED = 12345
-
-#: Guest-image size for the lane sweep, applied to the serial baseline
-#: and the batch alike; 64 MB holds the KR18 working set with slack.  An
-#: image costs RSS only for the pages a lane touches, so the size bounds
-#: each lane's address space, not the batch's footprint.
-LANES_MEMORY_BYTES = 64 * 1024 * 1024
-
-
-def register_lanes_graph():
-    """Install the sweep's graph input in the process-wide registry."""
-    from ..workloads.graphs import GRAPH_INPUTS, GraphSpec
-    if LANES_GRAPH["name"] not in GRAPH_INPUTS:
-        GRAPH_INPUTS[LANES_GRAPH["name"]] = GraphSpec(**LANES_GRAPH)
-
-
-def lanes_sweep_specs():
-    """JobSpecs of the pinned lane sweep, grouped by build template.
-
-    2 cases x 8 techniques x 2 ROB sizes = 32 sims over 2 templates.
-    Specs sharing a template are adjacent, so a lane batch builds each
-    workload once and clones it for the other fifteen lanes.
-    """
-    from ..jobs.spec import JobSpec
-    register_lanes_graph()
-    specs = []
-    for workload, graph in LANES_CASES:
-        for technique in LANES_TECHNIQUES:
-            for rob in LANES_ROB_SIZES:
-                cfg = bench_config(technique, LANES_INSTRUCTIONS)
-                cfg = replace(
-                    cfg,
-                    core=replace(cfg.core, rob_size=rob),
-                    memsys=replace(cfg.memsys,
-                                   guest_memory_bytes=LANES_MEMORY_BYTES))
-                specs.append(JobSpec(workload, cfg,
-                                     params={"graph": graph},
-                                     seed=LANES_SEED,
-                                     label=f"{workload}_{graph}_rob{rob}"))
-    return specs

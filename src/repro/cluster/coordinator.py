@@ -51,26 +51,23 @@ class ClusterError(RuntimeError):
 class WorkerHandle:
     """Coordinator-side state for one connected worker.
 
-    A worker holds up to ``lanes`` concurrent leases (it declared the
-    capacity in its HELLO; plain workers say 1, batch-lane workers more).
-    The lease ``deadline`` is per-worker, not per-job: it is armed when a
-    job is leased and refreshed every time a result lands, so it bounds
-    *time without progress* -- the natural generalization of the old
-    one-lease expiry, which a lockstep batch (where every job's wall
-    clock covers the whole batch) would otherwise trip constantly.
+    A worker holds at most one lease.  ``jobs`` maps the leased job's key
+    to the job, so a RESULT whose key is not there is recognized as stale
+    and ignored; it never holds more than one entry.  ``deadline`` is the
+    lease expiry: armed by :meth:`Coordinator.lease`, cleared by
+    :meth:`Coordinator.release` when the result lands.
     """
 
-    def __init__(self, connection, name, host=None, pid=None, lanes=1):
+    def __init__(self, connection, name, host=None, pid=None):
         self.connection = connection
         self.name = name
         self.host = host
         self.pid = pid
-        self.lanes = max(1, int(lanes or 1))
         self.last_seen = time.monotonic()
         self.alive = True
         self.killing = False         # close() issued, death event pending
-        self.jobs = {}               # job key -> leased _Job
-        self.deadline = None         # monotonic progress expiry, or None
+        self.jobs = {}               # job key -> leased job (at most one)
+        self.deadline = None         # monotonic lease expiry, or None
         self.done = 0
 
     @property
@@ -205,7 +202,7 @@ class Coordinator:
                 pass
 
     # -- worker management ---------------------------------------------
-    def spawn_local_workers(self, count, extra_args=()):
+    def spawn_local_workers(self, count):
         """Start ``count`` loopback worker subprocesses; returns Popens."""
         package_root = os.path.dirname(os.path.dirname(
             os.path.dirname(os.path.abspath(__file__))))
@@ -224,7 +221,6 @@ class Coordinator:
             env.update(self.tls.child_environment())
         command = [sys.executable, "-m", "repro", "cluster", "worker",
                    "--connect", f"{self.host}:{self.port}"]
-        command.extend(extra_args)
         processes = [subprocess.Popen(command, env=env)
                      for _ in range(count)]
         self._spawned.extend(processes)
@@ -366,8 +362,7 @@ class Coordinator:
             connection.close()
             return
         worker = WorkerHandle(connection, name=hello.get("worker"),
-                              host=hello.get("host"), pid=hello.get("pid"),
-                              lanes=hello.get("lanes", 1))
+                              host=hello.get("host"), pid=hello.get("pid"))
         with self._lock:
             self._workers.append(worker)
         try:
@@ -474,11 +469,7 @@ class Coordinator:
                 continue
             if kind == "result":
                 key = payload.get("job_id")
-                job = worker.jobs.pop(key, None)
-                worker.deadline = (time.monotonic() + self.job_timeout
-                                   if worker.jobs and self.job_timeout
-                                   else None)
-                worker.done += 1
+                job = self.release(worker, key)
                 if job is None or key in completed \
                         or key in failed or key not in by_key:
                     continue               # stale result from a prior run
@@ -492,15 +483,7 @@ class Coordinator:
                     settle(job, payload.get("error", "worker error"),
                            time.monotonic())
             elif kind in ("dead", "left"):
-                with self._lock:
-                    worker.alive = False
-                    if worker in self._workers:
-                        self._workers.remove(worker)
-                worker.connection.close()
-                lost = list(worker.jobs.values())
-                worker.jobs.clear()
-                worker.deadline = None
-                for job in lost:
+                for job in self.drop_worker(worker):
                     if job.key not in completed and job.key not in failed \
                             and job.key in by_key:
                         settle(job,
@@ -523,39 +506,63 @@ class Coordinator:
         return expired
 
     def _dispatch(self, ready, now):
-        """Lease highest-priority eligible jobs onto free worker lanes.
-
-        Breadth-first: one job per worker per pass, so a sweep smaller
-        than the fleet's total lane count spreads across workers instead
-        of filling the first batch worker's lanes end-to-end.
-        """
-        leased = True
-        while leased:
-            leased = False
-            for worker in self.live_workers():
-                if worker.killing or len(worker.jobs) >= worker.lanes:
-                    continue
-                job = None
-                for candidate in ready:
-                    if candidate.not_before <= now:
-                        job = candidate
-                        break
-                if job is None:
-                    return
-                try:
-                    worker.connection.send(JOB, job_id=job.key,
-                                           spec=job.spec.to_dict())
-                except OSError as error:
-                    worker.killing = True
-                    worker.connection.close()
-                    self._events.put(("dead", worker,
-                                      f"send failed: {error}"))
-                    continue
+        """Lease the highest-priority eligible job to each idle worker."""
+        for worker in self.idle_workers():
+            job = next((candidate for candidate in ready
+                        if candidate.not_before <= now), None)
+            if job is None:
+                return
+            if self.lease(worker, job, now):
                 ready.remove(job)
-                worker.jobs[job.key] = job
-                worker.deadline = (now + self.job_timeout
-                                   if self.job_timeout else None)
-                leased = True
+
+    # -- leases (shared with the serve daemon's scheduler) -------------
+    def idle_workers(self):
+        """Live workers that hold no lease and are not being closed."""
+        with self._lock:
+            return [w for w in self._workers
+                    if w.alive and not w.killing and not w.jobs]
+
+    def lease(self, worker, job, now):
+        """Send ``job`` to ``worker``, record the lease, arm its expiry.
+
+        Returns False when the send fails: the worker is closed and a
+        ``dead`` event queued, and the caller keeps the job.
+        """
+        try:
+            worker.connection.send(JOB, job_id=job.key,
+                                   spec=job.spec.to_dict())
+        except OSError as error:
+            worker.killing = True
+            worker.connection.close()
+            self._events.put(("dead", worker, f"send failed: {error}"))
+            return False
+        worker.jobs[job.key] = job
+        worker.deadline = now + self.job_timeout if self.job_timeout else None
+        return True
+
+    def release(self, worker, key):
+        """A RESULT for ``key`` arrived: end that lease, return its job.
+
+        Returns None for a stale result (no lease on ``key``), which
+        leaves the worker's current lease and its expiry alone.
+        """
+        job = worker.jobs.pop(key, None)
+        if not worker.jobs:
+            worker.deadline = None
+        worker.done += 1
+        return job
+
+    def drop_worker(self, worker):
+        """Unregister a dead or departed worker; returns its lost jobs."""
+        with self._lock:
+            worker.alive = False
+            if worker in self._workers:
+                self._workers.remove(worker)
+        worker.connection.close()
+        lost = list(worker.jobs.values())
+        worker.jobs.clear()
+        worker.deadline = None
+        return lost
 
     # -- introspection -------------------------------------------------
     def status(self):
@@ -566,8 +573,6 @@ class Coordinator:
                 "host": worker.host,
                 "pid": worker.pid,
                 "state": "busy" if worker.jobs else "idle",
-                "lanes": worker.lanes,
-                "active_jobs": len(worker.jobs),
                 "jobs_done": worker.done,
                 "last_seen_s": round(now - worker.last_seen, 3),
             } for worker in self._workers if worker.alive]

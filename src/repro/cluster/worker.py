@@ -21,14 +21,9 @@ declared dead (crashed mid-job, or a one-way partition swallowed its
 frames) and the worker exits nonzero with a one-line message instead of
 hanging on recv forever.
 
-With ``--lanes N`` (N > 1) the worker advertises N concurrent leases in
-its HELLO and runs them as one lockstep
-:class:`~repro.lanes.batch.LaneBatch` instead of one ``run_spec`` call
-per frame: the coordinator's lease burst is gathered into a batch,
-specs sharing a build template are cloned instead of rebuilt, and a
-``RESULT`` streams back the moment each lane retires -- the wire
-protocol is unchanged, there are just several jobs in flight per
-connection.
+The coordinator leases a worker one job at a time, so a worker never
+holds more than one ``JOB``: it answers each with a ``RESULT`` before
+the next one is sent.
 """
 
 from __future__ import annotations
@@ -67,8 +62,7 @@ class Worker:
                  reconnect_delay=0.5, heartbeat_interval=2.0, run_job=None,
                  salt=None, quiet=None, secret=_SECRET_FROM_ENV,
                  socket_timeout=5.0, coordinator_timeout=20.0,
-                 injector=None, tls=_TLS_FROM_ENV, lanes=1,
-                 gather_window=0.25):
+                 injector=None, tls=_TLS_FROM_ENV):
         self.host, self.port = parse_address(address)
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.max_jobs = max_jobs
@@ -101,12 +95,6 @@ class Worker:
         if quiet is None:
             quiet = os.environ.get("REPRO_PROGRESS", "") == "0"
         self.quiet = quiet
-        # Lane capacity advertised in HELLO.  1 = classic one-job-at-a-
-        # time worker; > 1 switches the JOB path to gather-and-batch.
-        # ``gather_window`` bounds how long the worker waits for the
-        # rest of a lease burst before running a partial batch.
-        self.lanes = max(1, int(lanes or 1))
-        self.gather_window = gather_window
         # Guards jobs_done: bumped on the serve loop, read by the
         # heartbeat thread for HEARTBEAT frames.
         self._lock = make_lock("Worker._lock")
@@ -176,8 +164,7 @@ class Worker:
                 f"to run without one") from None
         connection.send(HELLO, worker=self.worker_id,
                         host=socket.gethostname(), pid=os.getpid(),
-                        salt=self._code_salt(), version=PROTOCOL_VERSION,
-                        lanes=self.lanes)
+                        salt=self._code_salt(), version=PROTOCOL_VERSION)
         reply = self._recv_bounded(connection)
         if reply is None:
             raise ProtocolError("coordinator closed during handshake")
@@ -202,25 +189,13 @@ class Worker:
                     raise ProtocolError("coordinator closed the connection")
                 kind = message.get("type")
                 if kind == JOB:
-                    drained = False
-                    if self.lanes > 1:
-                        batch, drained = self._gather_batch(connection,
-                                                            message)
-                        self._run_batch(connection, batch)
-                        with self._lock:
-                            self.jobs_done += len(batch)
-                    else:
-                        self._run_one(connection, message)
-                        with self._lock:
-                            self.jobs_done += 1
+                    self._run_one(connection, message)
+                    with self._lock:
+                        self.jobs_done += 1
                     if self.max_jobs is not None \
                             and self.jobs_done >= self.max_jobs:
                         connection.send(GOODBYE, reason="max-jobs")
                         self._log(f"served {self.jobs_done} job(s); leaving")
-                        return 0
-                    if drained:
-                        connection.send(GOODBYE, reason="drained")
-                        self._log("drained")
                         return 0
                 elif kind == DRAIN:
                     connection.send(GOODBYE, reason="drained")
@@ -250,86 +225,6 @@ class Worker:
                     raise ProtocolError(
                         f"no traffic from coordinator for {quiet_s:.0f}s "
                         f"(dead or partitioned)") from None
-
-    # ------------------------------------------------------------------
-    def _gather_batch(self, connection, first_message):
-        """Collect the coordinator's lease burst into one batch.
-
-        The coordinator leases breadth-first up to this worker's lane
-        capacity, so the frames of one burst arrive back-to-back.
-        Gather with short recvs until the batch is full, the burst goes
-        quiet for ``gather_window`` seconds, or a ``DRAIN`` arrives
-        (remembered and honored after the batch runs).  A timeout at a
-        frame boundary consumes no bytes (``_recv_exactly`` re-raises
-        resumably there), so giving up mid-gather never corrupts the
-        stream; heartbeat echoes don't end the gather.
-        """
-        batch = [first_message]
-        drained = False
-        sock = connection.sock
-        deadline = time.monotonic() + self.gather_window
-        try:
-            while len(batch) < self.lanes:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                sock.settimeout(remaining)
-                try:
-                    message = connection.recv()
-                except socket.timeout:
-                    break            # burst over; run what we have
-                if message is None:
-                    raise ProtocolError(
-                        "coordinator closed during a lease burst")
-                kind = message.get("type")
-                if kind == JOB:
-                    batch.append(message)
-                elif kind == DRAIN:
-                    drained = True
-                    break
-        finally:
-            sock.settimeout(self.socket_timeout)
-        return batch, drained
-
-    def _run_batch(self, connection, batch):
-        """Run a leased batch as one lockstep LaneBatch.
-
-        Results stream back per retirement via the batch's
-        ``on_finish`` hook, so the coordinator can settle (and re-lease
-        against) early finishers while slower lanes are still running.
-        A frame whose spec doesn't decode fails *that job* immediately;
-        a lane that raises mid-flight fails only its own job -- exactly
-        the per-job error contract of :meth:`_run_one`.
-        """
-        from ..jobs.spec import JobSpec
-        from ..lanes import LaneBatch
-        job_ids = []
-        specs = []
-        for message in batch:
-            job_id = message.get("job_id")
-            try:
-                specs.append(JobSpec.from_dict(message["spec"]))
-            except Exception as error:
-                connection.send(RESULT, job_id=job_id, ok=False,
-                                error=repr(error), wall_s=0.0)
-                continue
-            job_ids.append(job_id)
-        if not specs:
-            return
-        self._log(f"running batch of {len(specs)} job(s) "
-                  f"on {self.lanes} lane(s)")
-
-        def on_finish(lane):
-            job_id = job_ids[lane.index]
-            if lane.status == "done":
-                connection.send(RESULT, job_id=job_id, ok=True,
-                                metrics=lane.metrics.to_dict(),
-                                wall_s=lane.wall_s)
-            else:
-                connection.send(RESULT, job_id=job_id, ok=False,
-                                error=repr(lane.error), wall_s=lane.wall_s)
-
-        LaneBatch(specs, lanes=self.lanes).run(on_finish)
 
     # ------------------------------------------------------------------
     def _heartbeat_loop(self, connection, stop):

@@ -52,7 +52,7 @@ def build_sim(built, config):
 
 
 def collect_metrics(built, config, core):
-    """Package a finished core (``run()`` or ``finish()`` done) as Metrics."""
+    """Package a core whose ``run()`` has returned as Metrics."""
     hierarchy = core.hierarchy
     core_stats = core.stats
     return Metrics(
@@ -90,24 +90,6 @@ def run_workload(workload, config=None, technique=None, seed=12345):
     return run_built(built, config)
 
 
-def build_spec_workload(spec):
-    """Register inputs + build the workload for one spec (no simulation).
-
-    The construction half of :func:`run_spec`, exposed separately so the
-    batch-lane executor can build a spec's workload once and clone the
-    result across lanes that share it.
-    """
-    from ..workloads import make_workload
-    graph_data = spec.inputs.get("graph")
-    if graph_data is not None:
-        from ..workloads.graphs import GRAPH_INPUTS, GraphSpec
-        if spec.params.get("graph") not in GRAPH_INPUTS:
-            GRAPH_INPUTS[graph_data["name"]] = GraphSpec(**graph_data)
-    workload = make_workload(spec.workload, **spec.params)
-    return workload.build(
-        memory_bytes=spec.config.memsys.guest_memory_bytes, seed=spec.seed)
-
-
 def run_spec(spec):
     """Run one :class:`~repro.jobs.spec.JobSpec`; works in any process.
 
@@ -116,7 +98,14 @@ def run_spec(spec):
     worker's registry doesn't have them (e.g. inputs registered at runtime
     by tests or notebooks), rebuilds the workload by name, and simulates.
     """
-    return run_built(build_spec_workload(spec), spec.config)
+    from ..workloads import make_workload
+    graph_data = spec.inputs.get("graph")
+    if graph_data is not None:
+        from ..workloads.graphs import GRAPH_INPUTS, GraphSpec
+        if spec.params.get("graph") not in GRAPH_INPUTS:
+            GRAPH_INPUTS[graph_data["name"]] = GraphSpec(**graph_data)
+    workload = make_workload(spec.workload, **spec.params)
+    return run_workload(workload, spec.config, seed=spec.seed)
 
 
 def run_techniques(workload, techniques, config=None, seed=12345):

@@ -23,12 +23,8 @@ class ExecutionContext:
 
     def __init__(self, jobs=1, cache_dir=None, no_cache=False, timeout=None,
                  ledger_path=None, backend="local", cluster=None,
-                 serve=None, store=None, resume=False, on_failure="raise",
-                 lanes=0):
+                 serve=None, store=None, resume=False, on_failure="raise"):
         self.jobs = max(1, int(jobs))
-        #: Batch-lane width for the "lanes" backend (``--lanes N``).  0
-        #: means "default" (8 when the lanes backend is selected).
-        self.lanes = max(0, int(lanes))
         self.cache_dir = cache_dir or default_cache_dir()
         self.no_cache = bool(no_cache)
         self.timeout = timeout
@@ -54,10 +50,9 @@ class ExecutionContext:
         self.ledger_path = ledger_path
         self.ledger = (RunLedger(ledger_path) if ledger_path
                        else NullLedger())
-        if backend not in ("local", "lanes", "cluster", "serve"):
+        if backend not in ("local", "cluster", "serve"):
             raise ValueError(f"unknown executor backend {backend!r} "
-                             f"(expected 'local', 'lanes', 'cluster' or "
-                             f"'serve')")
+                             f"(expected 'local', 'cluster' or 'serve')")
         self.backend = backend
         #: Cluster options: ``bind`` ("HOST:PORT", port 0 = ephemeral),
         #: ``workers`` (loopback subprocesses to spawn; 0 = wait for
@@ -108,14 +103,6 @@ class ExecutionContext:
                                  on_failure=self.on_failure,
                                  resume_index=self.resume_index(),
                                  failure_report=self.failure_report)
-        if self.backend == "lanes" or self.lanes:
-            from ..lanes import BatchExecutor
-            return BatchExecutor(lanes=self.lanes or 8,
-                                 cache=self.cache, ledger=self.ledger,
-                                 timeout=self.timeout,
-                                 on_failure=self.on_failure,
-                                 resume_index=self.resume_index(),
-                                 failure_report=self.failure_report)
         return Executor(jobs=self.jobs, cache=self.cache, ledger=self.ledger,
                         timeout=self.timeout, on_failure=self.on_failure,
                         resume_index=self.resume_index(),
@@ -156,8 +143,7 @@ class ExecutionContext:
             coordinator.start()
             workers = int(self.cluster_options.get("workers", 0))
             if workers:
-                extra = ("--lanes", str(self.lanes)) if self.lanes else ()
-                coordinator.spawn_local_workers(workers, extra_args=extra)
+                coordinator.spawn_local_workers(workers)
                 print(f"[cluster] coordinator on {coordinator.address}, "
                       f"spawned {workers} loopback worker(s)",
                       file=sys.stderr)

@@ -48,7 +48,7 @@ import threading
 import time
 
 from ..cluster.coordinator import Coordinator
-from ..cluster.protocol import (GOODBYE, HEARTBEAT, JOB, JOB_DONE,
+from ..cluster.protocol import (GOODBYE, HEARTBEAT, JOB_DONE,
                                 PROTOCOL_VERSION, ProtocolError, REJECT,
                                 SESSION_OK, SUBMIT, SWEEP_ACCEPTED,
                                 SWEEP_DONE)
@@ -104,21 +104,15 @@ class ServeDaemon:
     def address(self):
         return self.coordinator.address
 
-    def start(self, workers=0, lanes=0):
-        """Bind, start the scheduler, optionally spawn loopback workers.
-
-        ``lanes`` > 1 spawns batch-lane workers: each holds that many
-        concurrent leases and runs them as one lockstep
-        :class:`~repro.lanes.batch.LaneBatch`.
-        """
+    def start(self, workers=0):
+        """Bind, start the scheduler, optionally spawn loopback workers."""
         self.coordinator.start()
         self._started_at = time.monotonic()
         self._scheduler = threading.Thread(
             target=self._scheduler_loop, name="serve-scheduler", daemon=True)
         self._scheduler.start()
         if workers:
-            extra = ("--lanes", str(lanes)) if lanes else ()
-            self.coordinator.spawn_local_workers(workers, extra_args=extra)
+            self.coordinator.spawn_local_workers(workers)
             self.coordinator.wait_for_workers(1)
         return self.coordinator.host, self.coordinator.port
 
@@ -240,9 +234,18 @@ class ServeDaemon:
                     self._log(f"worker {subject.label} joined "
                               f"(fleet={len(coordinator.live_workers())})")
                 elif kind == "result":
-                    self._on_result(subject, payload)
+                    job = coordinator.release(subject, payload.get("job_id"))
+                    # Skip stale results (the lease was since reassigned).
+                    if job is not None and self._inflight.get(job.key) is job:
+                        self._finish_job(job, subject, payload)
                 elif kind in ("dead", "left"):
-                    self._on_worker_gone(subject, kind, payload)
+                    reason = f"worker {subject.label} {kind}: {payload}"
+                    lost = coordinator.drop_worker(subject)
+                    self._log(f"{reason} "
+                              f"(fleet={len(coordinator.live_workers())})")
+                    for job in lost:
+                        if self._inflight.get(job.key) is job:
+                            self._settle_failure(job, reason)
                 elif kind == "submit":
                     self._on_submit(subject, payload)
                 elif kind == "client-gone":
@@ -253,35 +256,13 @@ class ServeDaemon:
                 self._log(f"error handling {kind!r} event: {error!r}")
 
     def _dispatch(self, now):
-        """Lease the fair-share queue's next jobs onto free worker lanes.
-
-        Breadth-first across workers, like the per-sweep coordinator:
-        one job per worker per pass until every lane is full or the
-        queue runs dry.
-        """
-        leased = True
-        while leased:
-            leased = False
-            for worker in self.coordinator.live_workers():
-                if worker.killing or len(worker.jobs) >= worker.lanes:
-                    continue
-                job = self.queue.next_job(now)
-                if job is None:
-                    return
-                try:
-                    worker.connection.send(JOB, job_id=job.key,
-                                           spec=job.spec.to_dict())
-                except OSError as error:
-                    self.queue.add(job, front=True)
-                    worker.killing = True
-                    worker.connection.close()
-                    self._events().put(("dead", worker,
-                                        f"send failed: {error}"))
-                    continue
-                worker.jobs[job.key] = job
-                worker.deadline = (now + self.coordinator.job_timeout
-                                   if self.coordinator.job_timeout else None)
-                leased = True
+        """Lease the fair-share queue's next job to each idle worker."""
+        for worker in self.coordinator.idle_workers():
+            job = self.queue.next_job(now)
+            if job is None:
+                return
+            if not self.coordinator.lease(worker, job, now):
+                self.queue.add(job, front=True)
 
     # -- sweep submission ----------------------------------------------
     def _cost_model_lazy(self):
@@ -344,15 +325,8 @@ class ServeDaemon:
             self._finish_sweep(session, sweep)
 
     # -- results -------------------------------------------------------
-    def _on_result(self, worker, payload):
-        key = payload.get("job_id")
-        job = worker.jobs.pop(key, None)
-        timeout = self.coordinator.job_timeout
-        worker.deadline = (time.monotonic() + timeout
-                           if worker.jobs and timeout else None)
-        worker.done += 1
-        if job is None or self._inflight.get(key) is not job:
-            return                   # stale result from a reassigned lease
+    def _finish_job(self, job, worker, payload):
+        """Store, ledger and deliver a leased job's RESULT (or retry it)."""
         if payload.get("ok"):
             from ..harness.metrics import Metrics
             metrics = Metrics.from_dict(payload["metrics"])
@@ -364,30 +338,13 @@ class ServeDaemon:
                                retries=job.attempts)
             with self._lock:
                 self._stats["jobs_done"] += 1
-            del self._inflight[key]
-            self._deliver(key, ok=True, metrics=metrics, cached=False,
+            del self._inflight[job.key]
+            self._deliver(job.key, ok=True, metrics=metrics, cached=False,
                           worker=worker.label, wall_s=wall_s,
                           retries=job.attempts)
         else:
             self._settle_failure(job,
                                  payload.get("error", "worker error"))
-
-    def _on_worker_gone(self, worker, kind, payload):
-        coordinator = self.coordinator
-        with coordinator._lock:
-            worker.alive = False
-            if worker in coordinator._workers:
-                coordinator._workers.remove(worker)
-        worker.connection.close()
-        lost = list(worker.jobs.values())
-        worker.jobs.clear()
-        worker.deadline = None
-        self._log(f"worker {worker.label} {kind}: {payload} "
-                  f"(fleet={len(coordinator.live_workers())})")
-        for job in lost:
-            if self._inflight.get(job.key) is job:
-                self._settle_failure(
-                    job, f"worker {worker.label} {kind}: {payload}")
 
     def _live_watchers(self, key):
         """Interest entries whose session is still connected."""

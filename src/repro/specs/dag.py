@@ -3,9 +3,9 @@
 The runner walks the DAG in topological waves.  Wave 0 is every sim
 node, submitted as ONE batch through the standard
 :class:`~repro.jobs.executor.Executor` contract -- so a spec DAG runs
-unchanged on the serial executor, the process pool, the batch-lane
-backend, a TCP cluster, or a `repro serve` daemon, inheriting dedup,
-result caching, retries, cost-model scheduling and the run ledger.
+unchanged on the serial executor, the process pool, a TCP cluster, or
+a `repro serve` daemon, inheriting dedup, result caching, retries,
+cost-model scheduling and the run ledger.
 Analysis nodes run *in the parent process* as their parents finish:
 each wave's nodes are looked up in the :class:`ArtifactStore` by node
 hash first (a hit re-serves the artifact without recomputing), and

@@ -149,53 +149,18 @@ class OoOCore:
         self._producer_table = [None] * 32
         self._program_done = False
         self._l1_latency = config.memsys.l1d.latency
-        # Armed by start(); defaults let advance() work without it.
-        self._limit = config.max_instructions
-        self._max_cycles = self._limit * 3000 + 2_000_000
 
     # ------------------------------------------------------------------
     def run(self, max_instructions=None):
-        """Simulate to completion; equivalent to start + advance + finish."""
-        self.start(max_instructions)
-        self.advance()
-        return self.finish()
+        """Simulate until ``max_instructions`` commit or HALT.
 
-    def start(self, max_instructions=None):
-        """Arm a run: pin the commit limit and the cycle safety budget.
-
-        Splitting ``run()`` into ``start``/``advance``/``finish`` lets an
-        external scheduler (the batch-lane executor) interleave many cores
-        without changing what any one core computes: ``advance`` only ever
-        pauses between whole cycles, so slicing is invisible to the model.
+        Returns the core's :class:`CoreStats`.
         """
-        self._limit = max_instructions or self.config.max_instructions
-        self._max_cycles = self._limit * 3000 + 2_000_000
-        return self
-
-    @property
-    def finished(self):
-        stats = self.stats
-        return stats.halted or stats.committed >= self._limit
-
-    def advance(self, instructions=None):
-        """Run until ``instructions`` more commit (None = to completion).
-
-        Returns True while the run has more to do.  The fast-forward guard
-        tests the *run* limit, not the slice stop, so sliced execution is
-        bit-identical to an unsliced run -- including the fast-forward
-        span/cycle counters.
-        """
-        stats = self.stats
-        limit = self._limit
-        if instructions is None:
-            stop = limit
-        else:
-            stop = stats.committed + instructions
-            if stop > limit:
-                stop = limit
-        max_cycles = self._max_cycles
+        limit = max_instructions or self.config.max_instructions
+        max_cycles = limit * 3000 + 2_000_000
         fast_forward = self.config.fast_forward
         # Hot loop: every per-cycle callee is hoisted to a local once.
+        stats = self.stats
         ports = self.ports
         writeback = self._writeback
         commit = self._commit
@@ -205,7 +170,7 @@ class OoOCore:
         hierarchy_tick = self.hierarchy.tick
         new_cycle = ports.new_cycle
         quiescent = self._quiescent
-        while stats.committed < stop and not stats.halted:
+        while stats.committed < limit and not stats.halted:
             now = self.now + 1
             self.now = now
             if now > max_cycles:
@@ -224,11 +189,6 @@ class OoOCore:
             if fast_forward and stats.committed < limit \
                     and not stats.halted and quiescent(now):
                 self._fast_forward(now, max_cycles)
-        return not (stats.halted or stats.committed >= limit)
-
-    def finish(self):
-        """Seal per-run totals into stats (idempotent) and return them."""
-        stats = self.stats
         stats.cycles = self.now
         stats.branch_lookups = self.predictor.lookups
         stats.branch_mispredicts = self.predictor.mispredicts

@@ -158,21 +158,12 @@ class TestSanitizeCli:
                             {"smoke": 500, "small": 500, "full": 500})
         monkeypatch.setattr("repro.bench.harness.SMOKE_MATRIX",
                             (("nas-is", "ooo"),))
-        # The full lanes sweep is its own (slow) benchmark; this test is
-        # about the sanitize columns, so stub it out.
-        monkeypatch.setattr(
-            "repro.bench.harness.run_lanes_sweep",
-            lambda **kwargs: {"lanes": kwargs.get("lanes"), "step": 2000,
-                              "specs": 1, "templates": 1,
-                              "wall_s_serial": 2.0, "wall_s_lanes": 1.0,
-                              "lanes_speedup": 2.0, "identical": True})
         bench_dir = str(tmp_path / "benchmarks")
         assert main(["bench", "--scale", "smoke", "--repeats", "1",
                      "--label", "san", "--bench-dir", bench_dir]) == 0
         with open(f"{bench_dir}/BENCH_san.json") as handle:
             report = json.load(handle)
         assert report["schema"] == 3
-        assert report["lanes_sweep"]["identical"] is True
         case = report["cases"][0]
         assert case["wall_s_sanitize"] > 0
         assert case["sanitize_overhead"] > 0

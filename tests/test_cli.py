@@ -214,19 +214,6 @@ class TestMaxBytesPrune:
 
 
 class TestBenchCommand:
-    @pytest.fixture(autouse=True)
-    def _stub_lanes_sweep(self, monkeypatch):
-        # The pinned lanes matrix is its own (slow) benchmark with its
-        # own suite; these tests exercise the bench CLI path, so stub
-        # the sweep section (also keeps the KR18 runtime graph
-        # registration from leaking into registry-enumerating tests).
-        monkeypatch.setattr(
-            "repro.bench.harness.run_lanes_sweep",
-            lambda **kwargs: {"lanes": kwargs.get("lanes"), "step": 2000,
-                              "specs": 1, "templates": 1,
-                              "wall_s_serial": 2.0, "wall_s_lanes": 1.0,
-                              "lanes_speedup": 2.0, "identical": True})
-
     def test_bench_smoke_writes_report(self, capsys, tmp_path, monkeypatch):
         import json
         import os

@@ -23,9 +23,11 @@ from repro.config import SimConfig, TECH_DVR, TECH_OOO
 from repro.cluster import (AuthenticationError, ClusterExecutor, Coordinator,
                            CostModel, ProtocolError, Worker, cost_model_for,
                            longest_first, parse_address, query_status)
-from repro.cluster import protocol
+from repro.cluster import WorkerHandle, protocol
+from repro.cluster.coordinator import _Job
 from repro.jobs import (Executor, JobSpec, NullCache, NullLedger,
                         ResultCache, RunLedger)
+from repro.serve import ServeDaemon, ServeJob
 
 
 def _spec(workload="nas-is", technique=TECH_OOO, seed=12345,
@@ -187,6 +189,141 @@ class TestScheduler:
         # And results still align with the *input* order.
         results = executor.run([fast, slow])
         assert [m.workload for m in results] == ["nas-is", "camel"]
+
+
+# ---------------------------------------------------------------------------
+# Shared lease path (fake connections, no sockets)
+# ---------------------------------------------------------------------------
+class _FakeConnection:
+    """Records sent frames; ``broken`` makes every send raise OSError."""
+
+    def __init__(self, broken=False):
+        self.broken = broken
+        self.sent = []
+        self.closed = False
+        self.peer = "fake:0"
+
+    def send(self, kind, **fields):
+        if self.broken:
+            raise OSError("broken pipe")
+        self.sent.append((kind, fields))
+
+    def close(self):
+        self.closed = True
+
+
+class TestLeasePath:
+    """``Coordinator.idle_workers/lease/release/drop_worker``, driven by
+    both the per-sweep ``_dispatch`` and the serve daemon's."""
+
+    def _coordinator(self):
+        return Coordinator(job_timeout=30.0)
+
+    def _register(self, coordinator, name, broken=False):
+        worker = WorkerHandle(_FakeConnection(broken), name=name)
+        with coordinator._lock:
+            coordinator._workers.append(worker)
+        return worker
+
+    def _jobs_sent(self, worker):
+        return [fields["job_id"] for kind, fields in worker.connection.sent
+                if kind == protocol.JOB]
+
+    def test_one_job_per_idle_worker(self):
+        coordinator = self._coordinator()
+        fleet = [self._register(coordinator, f"w{i}") for i in range(2)]
+        jobs = [_Job(_spec(seed=seed)) for seed in (1, 2, 3)]
+        ready = list(jobs)
+        coordinator._dispatch(ready, now=100.0)
+        assert [self._jobs_sent(w) for w in fleet] == \
+            [[jobs[0].key], [jobs[1].key]]
+        assert ready == [jobs[2]]
+        for worker, job in zip(fleet, jobs):
+            assert worker.jobs == {job.key: job}
+            assert worker.deadline == 130.0
+        # Both workers are busy now: another pass leases nothing.
+        coordinator._dispatch(ready, now=101.0)
+        assert ready == [jobs[2]]
+        assert all(len(self._jobs_sent(w)) == 1 for w in fleet)
+
+    def test_serve_dispatch_one_job_per_idle_worker(self):
+        daemon = ServeDaemon(job_timeout=30.0, quiet=True)
+        fleet = [self._register(daemon.coordinator, f"w{i}")
+                 for i in range(2)]
+        jobs = [ServeJob(_spec(seed=seed), "s1") for seed in (1, 2, 3)]
+        for job in jobs:
+            daemon.queue.add(job)
+        daemon._dispatch(now=100.0)
+        assert [self._jobs_sent(w) for w in fleet] == \
+            [[jobs[0].key], [jobs[1].key]]
+        assert len(daemon.queue) == 1
+        assert daemon.queue.next_job(now=100.0) is jobs[2]
+
+    def test_busy_and_killing_workers_get_no_job(self):
+        coordinator = self._coordinator()
+        busy = self._register(coordinator, "busy")
+        killing = self._register(coordinator, "killing")
+        idle = self._register(coordinator, "idle")
+        held = _Job(_spec(seed=9))
+        assert coordinator.lease(busy, held, now=0.0)
+        killing.killing = True
+        assert coordinator.idle_workers() == [idle]
+        jobs = [_Job(_spec(seed=seed)) for seed in (1, 2)]
+        ready = list(jobs)
+        coordinator._dispatch(ready, now=1.0)
+        assert self._jobs_sent(busy) == [held.key]
+        assert self._jobs_sent(killing) == []
+        assert self._jobs_sent(idle) == [jobs[0].key]
+        assert ready == [jobs[1]]
+
+    def test_send_failure_marks_killing_and_keeps_job_ready(self):
+        coordinator = self._coordinator()
+        broken = self._register(coordinator, "broken", broken=True)
+        job = _Job(_spec(seed=1))
+        ready = [job]
+        coordinator._dispatch(ready, now=5.0)
+        assert ready == [job]
+        assert broken.killing and broken.connection.closed
+        assert broken.jobs == {} and broken.deadline is None
+        kind, worker, reason = coordinator._events.get_nowait()
+        assert (kind, worker) == ("dead", broken)
+        assert "send failed" in reason
+        assert coordinator.idle_workers() == []
+
+    def test_serve_send_failure_requeues_at_front(self):
+        daemon = ServeDaemon(job_timeout=30.0, quiet=True)
+        broken = self._register(daemon.coordinator, "broken", broken=True)
+        first, second = (ServeJob(_spec(seed=seed), "s1") for seed in (1, 2))
+        daemon.queue.add(first)
+        daemon.queue.add(second)
+        daemon._dispatch(now=5.0)
+        assert broken.killing
+        assert daemon.coordinator._events.get_nowait()[0] == "dead"
+        assert len(daemon.queue) == 2
+        assert daemon.queue.next_job(now=5.0) is first
+
+    def test_result_ends_lease_and_clears_deadline(self):
+        coordinator = self._coordinator()
+        worker = self._register(coordinator, "w")
+        job = _Job(_spec(seed=1))
+        assert coordinator.lease(worker, job, now=10.0)
+        assert worker.deadline == 40.0
+        # A stale RESULT leaves the live lease and its expiry alone.
+        assert coordinator.release(worker, "some-other-key") is None
+        assert worker.jobs == {job.key: job} and worker.deadline == 40.0
+        assert coordinator.release(worker, job.key) is job
+        assert worker.jobs == {} and worker.deadline is None
+        assert coordinator.idle_workers() == [worker]
+
+    def test_drop_worker_returns_its_lost_job(self):
+        coordinator = self._coordinator()
+        worker = self._register(coordinator, "w")
+        job = _Job(_spec(seed=1))
+        coordinator.lease(worker, job, now=0.0)
+        assert coordinator.drop_worker(worker) == [job]
+        assert not worker.alive and worker.connection.closed
+        assert worker.jobs == {} and worker.deadline is None
+        assert coordinator.live_workers() == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Backend-independent contract tests for the executor family.
 
-``Executor`` (serial and process-pool), ``BatchExecutor`` (lockstep
-lanes) and ``ClusterExecutor`` must be interchangeable behind
+``Executor`` (serial and process-pool), ``ClusterExecutor`` and
+``ServeExecutor`` must be interchangeable behind
 ``run(specs) -> [Metrics]``: same dedup semantics, same cache
 accounting, same input-order alignment, same one-retry story when a job
 crashes, and the same ``JobError`` when a job is truly broken.  These
@@ -20,8 +20,9 @@ from repro.cluster import ClusterExecutor, Coordinator, Worker
 from repro.harness.runner import run_spec
 from repro.jobs import (Executor, JobError, JobSpec, NullCache, ResultCache,
                         RunLedger)
+from repro.serve import ServeClient, ServeDaemon, ServeExecutor
 
-BACKENDS = ("serial", "pool", "lanes", "cluster")
+BACKENDS = ("serial", "pool", "cluster", "serve")
 
 
 def _spec(workload="nas-is", technique=TECH_OOO, seed=1,
@@ -49,17 +50,20 @@ def backend(request):
 def make_executor(backend, tmp_path):
     """Factory building an executor of the requested backend.
 
-    ``run_job`` (cluster only) injects worker-side behaviour; other
+    ``run_job`` (cluster and serve) injects worker-side behaviour; other
     backends ignore it and run the real simulator.  ``injector``
     (a ``repro.faults.FaultInjector``) arms worker/connection fault
-    sites on the cluster backend; persistence-seam faults apply to every
-    backend through the wrapped cache/ledger the caller passes in.
+    sites on the cluster and serve backends; persistence-seam faults
+    apply to every backend through the wrapped cache/ledger the caller
+    passes in.
     """
     import threading
 
     from repro.faults import WorkerCrash
 
     coordinators = []
+    daemons = []
+    clients = []
     stop = threading.Event()
 
     def factory(cache=None, ledger=None, run_job=None, workers=2,
@@ -72,20 +76,23 @@ def make_executor(backend, tmp_path):
         if backend == "pool":
             return Executor(jobs=2, cache=cache, ledger=ledger_obj,
                             progress=_Quiet())
-        if backend == "lanes":
-            from repro.lanes import BatchExecutor
-            return BatchExecutor(lanes=4, cache=cache, ledger=ledger_obj,
-                                 progress=_Quiet())
         # Injected faults (dropped results, crashes) need the lease
         # timeout + heartbeat machinery to actually run, not sit out a
         # 120s timeout.
-        coordinator = Coordinator(
+        timeouts = dict(
             job_timeout=2.0 if injector is not None else 120,
             heartbeat_timeout=2.5 if injector is not None else 15.0,
             retry_base=0.05, retry_cap=0.2, max_attempts=8,
             worker_grace=30.0)
-        coordinator.start()
-        coordinators.append(coordinator)
+        if backend == "serve":
+            daemon = ServeDaemon(quiet=True, **timeouts)
+            daemon.start()
+            daemons.append(daemon)
+            coordinator = daemon.coordinator
+        else:
+            coordinator = Coordinator(**timeouts)
+            coordinator.start()
+            coordinators.append(coordinator)
 
         def serve_loop(worker_id):
             # With faults armed, crashed/partitioned workers rejoin like
@@ -107,11 +114,21 @@ def make_executor(backend, tmp_path):
             threading.Thread(target=serve_loop, args=(f"w{index}",),
                              daemon=True).start()
         coordinator.wait_for_workers(workers, timeout=10)
+        if backend == "serve":
+            client = ServeClient(f"127.0.0.1:{coordinator.port}")
+            client.connect()
+            clients.append(client)
+            return ServeExecutor(client, cache=cache, ledger=ledger_obj,
+                                 progress=_Quiet())
         return ClusterExecutor(coordinator, cache=cache, ledger=ledger_obj,
                                progress=_Quiet())
 
     yield factory
     stop.set()
+    for client in clients:
+        client.close()
+    for daemon in daemons:
+        daemon.close()
     for coordinator in coordinators:
         coordinator.close()
 
@@ -158,19 +175,6 @@ def test_duplicate_specs_dedup_survives_one_crash(make_executor, backend,
         pytest.skip("cross-process injection covered by the fake-pool tests")
     if backend == "serial":
         monkeypatch.setattr("repro.harness.runner.run_spec", flaky)
-    if backend == "lanes":
-        # Lanes never call run_spec; crash the lane at its build seam
-        # instead (the retry then runs serially in the parent).
-        import repro.lanes.batch as batch_mod
-        real_build = batch_mod.build_spec_workload
-
-        def flaky_build(spec):
-            if failures["left"] > 0:
-                failures["left"] -= 1
-                raise RuntimeError("injected crash")
-            return real_build(spec)
-
-        monkeypatch.setattr(batch_mod, "build_spec_workload", flaky_build)
     ledger = RunLedger(str(tmp_path / "runs.jsonl"))
     executor = make_executor(ledger=ledger, run_job=flaky)
     duplicate = _spec(seed=11)
@@ -213,9 +217,9 @@ def test_fixed_fault_plan_yields_bit_identical_metrics(make_executor,
     """Every backend survives the same armed fault plan bit-identically.
 
     Serial/pool exercise the persistence seams (corrupt cache entries,
-    torn ledger appends); cluster additionally takes dropped result
-    frames and worker crashes.  The contract is that none of it changes
-    a single output bit — faults only cost retries.
+    torn ledger appends); cluster and serve additionally take dropped
+    result frames and worker crashes.  The contract is that none of it
+    changes a single output bit — faults only cost retries.
     """
     import warnings
 
