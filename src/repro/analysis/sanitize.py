@@ -19,6 +19,8 @@ mechanism it maps to -- is documented in DESIGN.md.
 
 from __future__ import annotations
 
+from ..memsys.cache import LINE_SHIFT
+
 
 class SanitizerError(AssertionError):
     """A microarchitectural invariant was violated during simulation."""
@@ -40,8 +42,8 @@ class Sanitizer:
     # OoOCore hooks
     # ------------------------------------------------------------------
     def on_commit(self, core, rob, head0, head):
-        """After the commit stage: in-order, monotone, completed commits
-        plus ROB/queue occupancy bounds."""
+        """After the commit stage: in-order, monotone, completed commits,
+        ROB/queue occupancy bounds, and parked loads."""
         self.checks += 1
         now = core.now
         cfg = core.core_cfg
@@ -76,6 +78,30 @@ class Sanitizer:
         if not 0 <= core._sq_count <= cfg.store_queue_size:
             self._fail("sq", f"store-queue count {core._sq_count} outside "
                              f"[0, {cfg.store_queue_size}]")
+        self._check_parked(core)
+
+    def _check_parked(self, core):
+        """A load parked on the MSHR file's current version must still be
+        certain to be refused: its line absent from L1, L2 and L3, and
+        the file full."""
+        hierarchy = core.hierarchy
+        mshrs = hierarchy.mshrs
+        version = mshrs.version
+        for dyn in core._retry:
+            if dyn.parked != version:
+                continue
+            line_addr = dyn.mem_addr >> LINE_SHIFT
+            for cache in (hierarchy.l1d, hierarchy.l2, hierarchy.l3):
+                if cache.contains(line_addr):
+                    self._fail("parked", f"seq={dyn.seq} parked at version "
+                                         f"{version} but line "
+                                         f"{line_addr:#x} is in "
+                                         f"{cache.name}")
+            if mshrs.occupancy() < mshrs.num_entries:
+                self._fail("parked", f"seq={dyn.seq} parked at version "
+                                     f"{version} but only "
+                                     f"{mshrs.occupancy()} of "
+                                     f"{mshrs.num_entries} MSHRs are held")
 
     def on_fast_forward(self, core, now, target):
         """Before an event jump: the skipped span must be provably inert
@@ -84,12 +110,11 @@ class Sanitizer:
         if target <= now:
             self._fail("fast-forward", f"non-advancing jump "
                                        f"{now} -> {target}")
-        if core._ready or core._fu_retry or core._mshr_retry:
+        if core._ready or core._retry:
             self._fail("fast-forward",
                        f"jump over a ready instruction at cycle {now}: "
                        f"ready={len(core._ready)} "
-                       f"fu_retry={len(core._fu_retry)} "
-                       f"mshr_retry={len(core._mshr_retry)}")
+                       f"retry={len(core._retry)}")
         head = core.rob_head_instruction()
         if head is not None and head.completed:
             self._fail("fast-forward",

@@ -11,6 +11,18 @@ one of the 24 MSHRs until its fill arrives; demand *and* runahead accesses
 return ``None`` when no MSHR is free so the caller retries, while
 fire-and-forget prefetches are simply dropped.
 
+Refusal tokens
+--------------
+A full miss refused for want of an MSHR records the MSHR file's
+``version`` in ``refused_miss_version``.  The line can enter L1/L2/L3
+only through :meth:`MemoryHierarchy._install_all` (a DRAM fill, which
+needs an MSHR, or an oracle load), and the file frees an entry only by
+a release; both move the version.  So while the token matches and no
+fill is due, a retry is certain to miss all three levels and be refused
+again.  The core parks such loads and books their retries in bulk
+through :meth:`MemoryHierarchy.record_parked_refusals`.  L2/L3-hit
+refusals record no token (``-1``): each of their retries refreshes LRU.
+
 Provenance statistics
 ---------------------
 Every line remembers which agent fetched it.  The hierarchy records, per
@@ -106,6 +118,7 @@ class MemoryHierarchy:
                                             l1_cache=self.l1d)
         self.stats = MemStats()
         self.sanitizer = None       # attached by the harness (--sanitize)
+        self.refused_miss_version = -1  # token of the last refusal
         self._l12_latency = config.l1d.latency + config.l2.latency
         self._l123_latency = self._l12_latency + config.l3.latency
 
@@ -140,6 +153,7 @@ class MemoryHierarchy:
             self.stats.record_prefetch_evicted_unused(line.source)
 
     def _install_all(self, line_addr, line, into_l1=True):
+        self.mshrs.version += 1     # a refused miss's line may now be here
         self._evict(self.l3.install(line_addr, line), self.l3)
         self._evict(self.l2.install(line_addr, line), self.l2)
         if into_l1:
@@ -161,6 +175,7 @@ class MemoryHierarchy:
             if not self.mshrs.allocate(line_addr, complete, now):
                 if demand:
                     self.stats.mshr_blocked += 1
+                self.refused_miss_version = -1
                 return None
             result = self._found(line, LEVEL_L2, complete, now, demand)
             self._evict(self.l1d.install(line_addr, line), self.l1d)
@@ -172,6 +187,7 @@ class MemoryHierarchy:
             if not self.mshrs.allocate(line_addr, complete, now):
                 if demand:
                     self.stats.mshr_blocked += 1
+                self.refused_miss_version = -1
                 return None
             result = self._found(line, LEVEL_L3, complete, now, demand)
             self._evict(self.l2.install(line_addr, line), self.l2)
@@ -182,6 +198,7 @@ class MemoryHierarchy:
         if self.mshrs.available(now) <= 0:
             if demand:
                 self.stats.mshr_blocked += 1
+            self.refused_miss_version = self.mshrs.version
             return None
         fill_cycle = self.dram.request(now + self._l123_latency)
         self.mshrs.allocate(line_addr, fill_cycle, now)
@@ -207,6 +224,15 @@ class MemoryHierarchy:
         self.stats.demand_loads += 1
         self._train_prefetchers(pc, addr, value, result, now)
         return result
+
+    def record_parked_refusals(self, count):
+        """Book ``count`` retries of parked demand loads, each exactly as
+        :meth:`access` would have: a miss at L1, L2 and L3 and one
+        ``mshr_blocked``."""
+        self.l1d.misses += count
+        self.l2.misses += count
+        self.l3.misses += count
+        self.stats.mshr_blocked += count
 
     def demand_store(self, addr, now):
         """Main-thread store (write-allocate, store buffer hides latency)."""

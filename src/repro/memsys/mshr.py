@@ -3,6 +3,11 @@
 The paper's MLP figure (Fig 9) is "MSHRs used per cycle on average", so the
 file tracks an exact occupancy integral: ``occupancy * elapsed`` is
 accumulated on every allocate/release transition.
+
+``version`` moves on every allocation and release (and, from the
+hierarchy, on every line install).  A full-miss refusal recorded at one
+version is certain to repeat while the version stands, which lets the
+core park a refused load instead of re-probing the caches every cycle.
 """
 
 from __future__ import annotations
@@ -12,6 +17,9 @@ import heapq
 
 class MshrFile:
     def __init__(self, num_entries):
+        if num_entries < 1:
+            raise ValueError(
+                f"MSHR file needs at least one entry, got {num_entries}")
         self.num_entries = num_entries
         # line_addr -> fill cycle, for outstanding misses
         self._outstanding = {}
@@ -22,6 +30,7 @@ class MshrFile:
         self.allocations = 0
         self.releases = 0
         self.full_rejections = 0
+        self.version = 0
 
     def _advance(self, now):
         self.occupancy_integral += len(self._outstanding) * (now - self._last_change)
@@ -37,6 +46,7 @@ class MshrFile:
                 self._advance(fill_cycle)
                 del self._outstanding[line_addr]
                 self.releases += 1
+                self.version += 1
 
     def lookup(self, line_addr):
         """Fill cycle of an in-flight miss to this line, or None."""
@@ -70,6 +80,7 @@ class MshrFile:
         self._outstanding[line_addr] = fill_cycle
         heapq.heappush(self._release_heap, (fill_cycle, line_addr))
         self.allocations += 1
+        self.version += 1
         if len(self._outstanding) > self.peak_occupancy:
             self.peak_occupancy = len(self._outstanding)
         return True

@@ -23,7 +23,7 @@ Runahead engines (PRE / VR / DVR) attach via a small hook interface:
 
 Event-driven fast-forwarding: when a cycle ends with nothing in flight
 that could retire, wake, issue or dispatch next cycle -- ready queue and
-retry lists empty, ROB head (if any) incomplete, dispatch structurally
+retry list empty, ROB head (if any) incomplete, dispatch structurally
 blocked, engine quiescent -- the simulator jumps ``now`` straight to the
 next scheduled event (writeback-heap head, fetch redirect, earliest MSHR
 fill, engine wake-up) and bulk-attributes the skipped span into the same
@@ -38,7 +38,7 @@ import heapq
 from ..isa.instructions import Op
 from ..isa.machine import execute
 from ..branch.predictor import TagePredictor
-from .dynins import DynIns
+from .dynins import FU_MEM, DynIns
 from .scheduler import IssuePorts
 
 
@@ -141,8 +141,7 @@ class OoOCore:
         self._lq_count = 0
         self._sq_count = 0
         self._ready = []                # heap of (seq, DynIns)
-        self._fu_retry = []             # FU-port-blocked, ascending seq
-        self._mshr_retry = []           # loads refused by a full MSHR file
+        self._retry = []                # FU- or MSHR-blocked, ascending seq
         self._writebacks = []           # heap of (complete_cycle, seq, DynIns)
         self._waiting_branch = None     # mispredicted branch pending resolve
         self._fetch_resume = 0
@@ -201,7 +200,7 @@ class OoOCore:
         """True when no core state can change before the next event.
 
         Checked at the end of a fully-simulated cycle.  Requires: nothing
-        awaiting issue (ready heap, FU retries, MSHR retries all empty),
+        awaiting issue (ready heap and retry list both empty),
         commit blocked on an incomplete ROB head (or an empty ROB),
         a quiescent engine, and dispatch structurally blocked for a
         reason that only an event can clear (fetch redirect in the
@@ -209,7 +208,7 @@ class OoOCore:
         back-pressure -- all released by writebacks -- or an engine that
         occupies the front-end).
         """
-        if self._ready or self._fu_retry or self._mshr_retry:
+        if self._ready or self._retry:
             return False
         rob, head_index = self._rob, self._rob_head
         if head_index < len(rob) and rob[head_index].completed:
@@ -246,8 +245,8 @@ class OoOCore:
         if wake is not None and (target is None or wake < target):
             target = wake
         if target is None:
-            # An MSHR fill wakes nothing by itself while the retry lists
-            # are empty (the quiescence precondition), so fills do not
+            # An MSHR fill wakes nothing by itself while the retry list
+            # is empty (the quiescence precondition), so fills do not
             # bound the jump -- they only serve as a deadlock fallback.
             target = self.hierarchy.mshrs.next_fill()
         if target is None:
@@ -376,19 +375,15 @@ class OoOCore:
     # ------------------------------------------------------------------
     def _issue(self):
         ready = self._ready
-        carry = self._fu_retry
-        if self._mshr_retry:
-            for dyn in self._mshr_retry:
-                heapq.heappush(ready, (dyn.seq, dyn))
-            self._mshr_retry = []
+        carry = self._retry
         if not ready and not carry:
             return
-        # FU-port-blocked instructions from the previous cycle live in
-        # ``carry`` (already in ascending seq order from the pop sequence
-        # that produced them) instead of being re-pushed through the ready
-        # heap every cycle; candidates are drawn from whichever of
-        # carry/heap holds the lowest seq, which reproduces the pure-heap
-        # pop order exactly.
+        # Instructions that could not issue last cycle -- FU-port-blocked
+        # or refused by a full MSHR file -- live in ``carry`` (already in
+        # ascending seq order from the pop sequence that produced them)
+        # instead of being re-pushed through the ready heap every cycle;
+        # candidates are drawn from whichever of carry/heap holds the
+        # lowest seq, which reproduces the pure-heap pop order exactly.
         ports = self.ports
         now = self.now
         can_issue = ports.can_issue
@@ -398,6 +393,18 @@ class OoOCore:
         heappush = heapq.heappush
         writebacks = self._writebacks
         trace = self.trace
+        # A parked load -- refused on a full miss at the MSHR file's
+        # current version -- is certain to be refused again unless a fill
+        # lands this cycle (see repro.memsys.hierarchy, "Refusal
+        # tokens").  Its retry is counted here, without probing the
+        # caches, and booked in bulk after the loop.  No fill becomes due
+        # within the loop: new fills are all in the future.
+        mshrs = self.hierarchy.mshrs
+        next_fill = mshrs.next_fill()
+        parking = next_fill is not None and next_fill > now
+        used = ports.used
+        mem_ports = ports.capacity[FU_MEM]
+        refused = 0
         retry = []
         attempts = 0
         carry_index, carry_len = 0, len(carry)
@@ -408,6 +415,14 @@ class OoOCore:
                 else:
                     dyn = carry[carry_index]
                     carry_index += 1
+                    if parking and dyn.parked == mshrs.version:
+                        # Exactly what can_issue would decide: the loop
+                        # guard already leaves an issue slot.
+                        attempts += 1
+                        if used[FU_MEM] < mem_ports:
+                            refused += 1
+                        retry.append(dyn)
+                        continue
             elif ready:
                 _, dyn = heappop(ready)
             else:
@@ -418,7 +433,8 @@ class OoOCore:
                 continue
             if dyn.ins.is_load:
                 if not self._issue_load(dyn):
-                    continue  # MSHR-blocked; queued for retry
+                    retry.append(dyn)   # refused by a full MSHR file
+                    continue
             elif dyn.ins.is_store:
                 if self.perfect_memory:
                     # Symmetric oracle treatment: the line is already here,
@@ -438,7 +454,9 @@ class OoOCore:
             heappush(writebacks, (dyn.complete_cycle, dyn.seq, dyn))
         if carry_index < carry_len:
             retry.extend(carry[carry_index:])
-        self._fu_retry = retry
+        self._retry = retry
+        if refused:
+            self.hierarchy.record_parked_refusals(refused)
 
     def _issue_load(self, dyn):
         if self.perfect_memory:
@@ -449,7 +467,7 @@ class OoOCore:
         result = self.hierarchy.demand_load(
             dyn.mem_addr, dyn.pc, dyn.value, self.now)
         if result is None:
-            self._mshr_retry.append(dyn)
+            dyn.parked = self.hierarchy.refused_miss_version
             return False
         dyn.complete_cycle = result.complete_cycle
         dyn.mem_level = result.level

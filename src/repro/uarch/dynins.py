@@ -33,7 +33,7 @@ class DynIns:
     __slots__ = ("seq", "ins", "pc", "mem_addr", "value",
                  "dispatch_cycle", "issue_cycle", "complete_cycle",
                  "issued", "completed", "pending", "dependents",
-                 "fu", "mispredicted", "taken", "mem_level")
+                 "fu", "mispredicted", "taken", "mem_level", "parked")
 
     def __init__(self, seq, ins, dispatch_cycle):
         self.seq = seq
@@ -52,6 +52,7 @@ class DynIns:
         self.mispredicted = False
         self.taken = False
         self.mem_level = None       # cache level a load hit in
+        self.parked = -1            # refusal token (MshrFile.version)
 
     def __repr__(self):
         state = "C" if self.completed else ("I" if self.issued else "W")

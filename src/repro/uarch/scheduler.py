@@ -27,11 +27,11 @@ class IssuePorts:
             FU_DIV: core_config.int_div.latency,
             FU_MEM: 0,  # memory latency comes from the hierarchy
         }
-        self._used = {FU_ALU: 0, FU_MUL: 0, FU_DIV: 0, FU_MEM: 0}
+        self.used = {FU_ALU: 0, FU_MUL: 0, FU_DIV: 0, FU_MEM: 0}
         self._issued = 0
 
     def new_cycle(self):
-        used = self._used
+        used = self.used
         used[FU_ALU] = 0
         used[FU_MUL] = 0
         used[FU_DIV] = 0
@@ -40,10 +40,10 @@ class IssuePorts:
 
     def can_issue(self, fu):
         return (self._issued < self.width and
-                self._used[fu] < self.capacity[fu])
+                self.used[fu] < self.capacity[fu])
 
     def claim(self, fu):
-        self._used[fu] += 1
+        self.used[fu] += 1
         self._issued += 1
 
     @property
@@ -51,4 +51,4 @@ class IssuePorts:
         return self.width - self._issued
 
     def spare_fu(self, fu):
-        return self.capacity[fu] - self._used[fu]
+        return self.capacity[fu] - self.used[fu]

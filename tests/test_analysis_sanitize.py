@@ -10,6 +10,7 @@ from repro.__main__ import main
 from repro.analysis.sanitize import Sanitizer, SanitizerError
 from repro.config import SimConfig, config_digest
 from repro.harness.runner import build_sim, run_workload
+from repro.uarch.dynins import DynIns
 from repro.workloads import make_workload
 
 
@@ -127,6 +128,27 @@ class TestViolationsAreCaught:
         core = self._core()
         with pytest.raises(SanitizerError, match="non-advancing"):
             core.sanitizer.on_fast_forward(core, now=10, target=10)
+
+    def _park(self, core, addr):
+        """Forge a retrying load that carries the current refusal token."""
+        ins = next(ins for ins in core.program.instructions if ins.is_load)
+        dyn = DynIns(0, ins, 0)
+        dyn.mem_addr = addr
+        dyn.parked = core.hierarchy.mshrs.version
+        core._retry = [dyn]
+
+    def test_parked_load_on_a_cached_line(self):
+        core = self._core()
+        core.hierarchy.demand_load(0x20000, pc=1, value=0, now=0)
+        self._park(core, 0x20000)
+        with pytest.raises(SanitizerError, match="parked.*is in L1-D"):
+            core.sanitizer.on_commit(core, core._rob, 0, 0)
+
+    def test_parked_load_with_a_free_mshr(self):
+        core = self._core()
+        self._park(core, 0x20000)
+        with pytest.raises(SanitizerError, match="parked.*MSHRs are held"):
+            core.sanitizer.on_commit(core, core._rob, 0, 0)
 
     def test_subthread_lane_bound(self):
         config = SimConfig(max_instructions=3_000,

@@ -7,12 +7,13 @@ from repro.config import ImpConfig, MemSysConfig, StridePrefetcherConfig
 from repro.isa import GuestMemory
 from repro.memsys import (LEVEL_L1, LEVEL_L2, LEVEL_L3, LEVEL_OFFCHIP,
                           MemoryHierarchy, SRC_DEMAND, SRC_DVR)
+from repro.memsys.cache import CacheLine
 
 
-def make_hierarchy(stride_enabled=False, imp_enabled=False):
+def make_hierarchy(stride_enabled=False, imp_enabled=False, **memsys):
     mem = GuestMemory(64 * 1024 * 1024)
     hierarchy = MemoryHierarchy(
-        MemSysConfig(),
+        MemSysConfig(**memsys),
         StridePrefetcherConfig(enabled=stride_enabled),
         ImpConfig(enabled=imp_enabled),
         mem)
@@ -86,6 +87,53 @@ class TestMshrPressure:
         for k in range(24):
             hierarchy.demand_load(0x10000 + k * 64, 1, 0, 0)
         assert not hierarchy.prefetch(0x90000, 0, SRC_DVR)
+
+    def test_hierarchy_without_mshrs_rejected(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            make_hierarchy(l1d_mshrs=0)
+
+
+def fill_mshrs(hierarchy, now=0):
+    for k in range(hierarchy.mshrs.num_entries):
+        assert hierarchy.demand_load(0x10000 + k * 64, 1, 0, now) is not None
+
+
+class TestRefusalToken:
+    def test_install_moves_version(self):
+        hierarchy, _ = make_hierarchy()
+        version = hierarchy.mshrs.version
+        hierarchy.oracle_load(0x50000, 0)   # installs without an MSHR
+        assert hierarchy.mshrs.version == version + 1
+
+    def test_full_miss_refusal_records_version(self):
+        hierarchy, _ = make_hierarchy()
+        fill_mshrs(hierarchy)
+        assert hierarchy.demand_load(0x80000, 1, 0, 5) is None
+        assert hierarchy.refused_miss_version == hierarchy.mshrs.version
+
+    def test_l2_hit_refusal_records_no_token(self):
+        hierarchy, _ = make_hierarchy()
+        hierarchy.l2.install(0x80000 >> 6, CacheLine(SRC_DEMAND, 0, LEVEL_L2))
+        fill_mshrs(hierarchy)
+        hierarchy.refused_miss_version = hierarchy.mshrs.version
+        assert hierarchy.demand_load(0x80000, 1, 0, 5) is None
+        assert hierarchy.refused_miss_version == -1
+
+    def test_parked_refusal_books_what_a_real_refusal_does(self):
+        hierarchy, _ = make_hierarchy()
+        fill_mshrs(hierarchy)
+
+        def counters():
+            return (hierarchy.l1d.misses, hierarchy.l2.misses,
+                    hierarchy.l3.misses, hierarchy.stats.mshr_blocked)
+
+        before = counters()
+        assert hierarchy.demand_load(0x80000, 1, 0, 5) is None
+        real = counters()
+        hierarchy.record_parked_refusals(3)
+        parked = counters()
+        assert [r - b for r, b in zip(real, before)] == [1, 1, 1, 1]
+        assert [p - r for p, r in zip(parked, real)] == [3, 3, 3, 3]
 
 
 class TestProvenance:

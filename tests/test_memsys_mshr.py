@@ -1,5 +1,6 @@
 """Tests for the MSHR file and its occupancy accounting."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.memsys.mshr import MshrFile
@@ -46,6 +47,35 @@ class TestAllocation:
         mshrs.allocate(2, 10, 0)
         mshrs.allocate(1, 10, 0)  # merge, not counted
         assert mshrs.allocations == 2
+
+
+    @pytest.mark.parametrize("entries", [0, -1])
+    def test_file_without_entries_rejected(self, entries):
+        # Every L1 miss would be refused forever: the run could only end
+        # at the cycle safety limit.
+        with pytest.raises(ValueError, match="at least one entry"):
+            MshrFile(entries)
+
+
+class TestVersion:
+    def test_rises_on_allocate_only(self):
+        mshrs = MshrFile(1)
+        assert mshrs.version == 0
+        mshrs.allocate(1, 10, 0)
+        assert mshrs.version == 1
+        mshrs.allocate(1, 10, 1)    # merge: nothing allocated
+        assert not mshrs.allocate(2, 10, 1)   # full: refused
+        assert mshrs.version == 1
+
+    def test_rises_on_release_in_drain(self):
+        mshrs = MshrFile(4)
+        mshrs.allocate(1, 10, 0)
+        mshrs.allocate(2, 20, 0)
+        version = mshrs.version
+        mshrs.drain(9)              # nothing due
+        assert mshrs.version == version
+        mshrs.drain(25)             # both released
+        assert mshrs.version == version + 2
 
 
 class TestOccupancyIntegral:
