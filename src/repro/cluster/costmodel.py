@@ -103,10 +103,9 @@ class CostModel:
     # ------------------------------------------------------------------
     def predict(self, spec):
         """Expected wall seconds for ``spec`` (most specific level wins)."""
-        from ..config import config_digest
         instructions = getattr(spec.config, "max_instructions", 0) or 0
         for key in self._keys(spec.workload, spec.params.get("graph"),
-                              spec.technique, config_digest(spec.config)):
+                              spec.technique, spec.config_digest):
             count = self._counts.get(key)
             if count:
                 return (self._sums[key] / count) * instructions

@@ -2,14 +2,20 @@
 
 :func:`paper_config` reproduces Table 1 of the paper (the baseline OoO
 core inspired by Intel Ice Lake, simulated at 4 GHz).
+
+Every config dataclass is frozen: a variant is a copy made with
+``dataclasses.replace``, :meth:`SimConfig.with_technique` or
+:meth:`SimConfig.with_rob`, so a ``JobSpec`` key computed from a config
+can never go stale under it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 
 # Technique identifiers (see repro.harness.runner for dispatch)
@@ -27,7 +33,7 @@ ALL_TECHNIQUES = (TECH_OOO, TECH_PRE, TECH_IMP, TECH_VR, TECH_DVR,
 DVR_BREAKDOWN = (TECH_VR, TECH_DVR_OFFLOAD, TECH_DVR_DISCOVERY, TECH_DVR)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FuncUnit:
     """One class of functional unit: ``count`` units of ``latency`` cycles."""
 
@@ -35,7 +41,7 @@ class FuncUnit:
     latency: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoreConfig:
     """Out-of-order core parameters (paper Table 1)."""
 
@@ -55,7 +61,7 @@ class CoreConfig:
     phys_vec_regs: int = 128
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheConfig:
     size_bytes: int
     assoc: int
@@ -67,7 +73,7 @@ class CacheConfig:
         return self.size_bytes // (self.line_bytes * self.assoc)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemSysConfig:
     """Memory hierarchy parameters (paper Table 1)."""
 
@@ -86,7 +92,7 @@ class MemSysConfig:
     guest_memory_bytes: int = 256 * 1024 * 1024
 
 
-@dataclass
+@dataclass(frozen=True)
 class StridePrefetcherConfig:
     """Always-on L1-D stride prefetcher (16 streams, paper Table 1)."""
 
@@ -97,7 +103,7 @@ class StridePrefetcherConfig:
     train_threshold: int = 2         # identical strides before prefetching
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImpConfig:
     """Indirect Memory Prefetcher (Yu et al., MICRO 2015), at L1-D."""
 
@@ -109,7 +115,7 @@ class ImpConfig:
     confidence_threshold: int = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class BranchConfig:
     """TAGE-lite predictor sized to roughly 8 KB."""
 
@@ -121,7 +127,7 @@ class BranchConfig:
     btb_bits: int = 11
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunaheadConfig:
     """Parameters shared by PRE and VR (stall-triggered runahead)."""
 
@@ -138,7 +144,7 @@ class RunaheadConfig:
     vr_termination_grace: int = 100
 
 
-@dataclass
+@dataclass(frozen=True)
 class DvrConfig:
     """Decoupled Vector Runahead parameters (paper Section 4)."""
 
@@ -157,7 +163,7 @@ class DvrConfig:
     nested_enabled: bool = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Everything needed to run one simulation."""
 
@@ -219,8 +225,35 @@ class SimConfig:
 
 
 def config_to_dict(config):
-    """``SimConfig`` (or any nested config dataclass) as plain dicts."""
-    return asdict(config)
+    """``SimConfig`` (or any nested config dataclass) as plain dicts.
+
+    Equal to ``dataclasses.asdict(config)``, without its deep copy of
+    every leaf: leaf values are shared with the config, so treat the
+    result as read-only.
+    """
+    data = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            value = config_to_dict(value)
+        data[f.name] = value
+    return data
+
+
+@functools.cache
+def _field_plan(cls):
+    """``(name, nested config class or None, is tuple)`` per field of ``cls``.
+
+    Resolving the string annotations is the costly part of decoding a
+    config, and they never change, so it happens once per class.
+    """
+    hints = typing.get_type_hints(cls)
+    plan = []
+    for f in fields(cls):
+        hint = hints.get(f.name)
+        plan.append((f.name, hint if is_dataclass(hint) else None,
+                     hint is tuple))
+    return tuple(plan)
 
 
 def config_from_dict(cls, data):
@@ -229,19 +262,27 @@ def config_from_dict(cls, data):
     Works for any of the config dataclasses here: nested dataclass fields
     recurse, tuple-annotated fields are restored from JSON lists.
     """
-    hints = typing.get_type_hints(cls)
     kwargs = {}
-    for f in fields(cls):
-        if f.name not in data:
+    for name, nested, is_tuple in _field_plan(cls):
+        if name not in data:
             continue
-        value = data[f.name]
-        hint = hints.get(f.name)
-        if is_dataclass(hint) and isinstance(value, dict):
-            value = config_from_dict(hint, value)
-        elif hint is tuple and isinstance(value, list):
+        value = data[name]
+        if nested is not None and isinstance(value, dict):
+            value = config_from_dict(nested, value)
+        elif is_tuple and isinstance(value, list):
             value = tuple(value)
-        kwargs[f.name] = value
+        kwargs[name] = value
     return cls(**kwargs)
+
+
+def canonical_digest(data, length):
+    """First ``length`` hex digits of sha256 over ``data``'s canonical JSON.
+
+    The one formula behind :func:`config_digest`, ``JobSpec.key`` and the
+    concretizer's node hashes.
+    """
+    canonical = json.dumps(data, sort_keys=True, default=list)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:length]
 
 
 def config_digest(config):
@@ -250,9 +291,7 @@ def config_digest(config):
     Two structurally-equal configs always hash alike, across processes
     and interpreter runs -- the basis of the ``repro.jobs`` cache key.
     """
-    canonical = json.dumps(config_to_dict(config), sort_keys=True,
-                           default=list)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return canonical_digest(config_to_dict(config), 16)
 
 
 def paper_config(technique=TECH_OOO, max_instructions=50_000):

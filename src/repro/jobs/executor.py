@@ -35,15 +35,6 @@ def _execute_payload(payload):
             "worker": os.getpid()}
 
 
-def _spec_config_digest(spec):
-    """Stable SimConfig digest for resume matching (None = unavailable)."""
-    try:
-        from ..config import config_digest
-        return config_digest(spec.config)
-    except Exception:
-        return None
-
-
 class ProgressLine:
     """Live ``[12/60] bfs_KR dvr ... 3 cached`` line on stderr.
 
@@ -214,8 +205,7 @@ class Executor:
         """
         record = self.resume_index.get(spec.key)
         if record is not None:
-            digest = _spec_config_digest(spec)
-            if digest is None or record.get("config_digest") == digest:
+            if record.get("config_digest") == spec.config_digest:
                 metrics = self.cache.get(spec)
                 if metrics is not None:
                     return metrics, "resume"

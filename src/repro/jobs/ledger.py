@@ -30,15 +30,6 @@ def _analysis_version():
         return None
 
 
-def _config_digest(config):
-    """Stable digest of the spec's SimConfig (cost-model feature key)."""
-    try:
-        from ..config import config_digest
-        return config_digest(config)
-    except Exception:  # pragma: no cover - defensive: never block a record
-        return None
-
-
 class RunLedger:
     """Append-only JSONL log of every job an executor processed."""
 
@@ -67,7 +58,7 @@ class RunLedger:
             "retries": retries,
             # Cost-model features: the scheduler learns seconds-per-
             # instruction per (workload, graph, technique) from these.
-            "config_digest": _config_digest(spec.config),
+            "config_digest": spec.config_digest,
             "max_instructions": getattr(spec.config, "max_instructions",
                                         None),
             # Analysis provenance: whether the run had the runtime

@@ -11,11 +11,10 @@ and cross-figure deduplication sound.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 
-from ..config import SimConfig, config_from_dict, config_to_dict
+from ..config import (SimConfig, canonical_digest, config_from_dict,
+                      config_to_dict)
 
 
 def _input_fingerprint(workload, params):
@@ -38,7 +37,15 @@ def _input_fingerprint(workload, params):
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One simulation, ready to run anywhere (including a worker process)."""
+    """One simulation, ready to run anywhere (including a worker process).
+
+    ``key`` and ``config_digest`` are derived from one canonical form,
+    once, in ``__post_init__`` (which ``from_dict`` and
+    ``dataclasses.replace`` run too).  They cannot go stale: the config is
+    frozen, and nothing writes ``params`` or ``inputs`` after
+    construction.  Computing them eagerly also lets threads share a spec
+    without a lock.
+    """
 
     workload: str                     # name in repro.workloads.ALL_WORKLOADS
     config: SimConfig
@@ -46,6 +53,12 @@ class JobSpec:
     seed: int = 12345
     label: str = ""                   # display label, e.g. "bfs_KR"
     inputs: dict = field(default_factory=dict)   # named-input fingerprint
+    #: Stable content hash of the canonical form -- the cache / dedup
+    #: identity.
+    key: str = field(init=False, repr=False, compare=False)
+    #: Stable hash of the config alone (``config_digest(config)``): the
+    #: cost model's feature key and the ``--resume`` config check.
+    config_digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.label:
@@ -53,6 +66,10 @@ class JobSpec:
         if not self.inputs:
             object.__setattr__(
                 self, "inputs", _input_fingerprint(self.workload, self.params))
+        canonical = self.canonical()
+        object.__setattr__(self, "key", canonical_digest(canonical, 24))
+        object.__setattr__(self, "config_digest",
+                           canonical_digest(canonical["config"], 16))
 
     @property
     def technique(self):
@@ -71,12 +88,6 @@ class JobSpec:
             "inputs": self.inputs,
             "config": config_to_dict(self.config),
         }
-
-    @property
-    def key(self):
-        """Stable content hash -- the cache / dedup identity."""
-        canonical = json.dumps(self.canonical(), sort_keys=True, default=list)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:24]
 
     # ------------------------------------------------------------------
     def to_dict(self):

@@ -25,11 +25,10 @@ lets the artifact cache re-serve the untouched subgraph on a re-run.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from itertools import product
 
+from ..config import canonical_digest
 from ..jobs import JobSpec
 from .format import Spec, SpecError, load_spec
 
@@ -240,11 +239,6 @@ def _expand_group(group, scale, defaults):
                          leaves=tuple(leaves))
 
 
-def _canonical_hash(payload):
-    blob = json.dumps(payload, sort_keys=True, default=list)
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
-
 def _detect_cycles(analyses):
     """Reject ``needs`` cycles among analyses with the cycle spelled out."""
     edges = {a.name: [need for need in a.needs
@@ -341,8 +335,9 @@ def concretize(source, scale=None):
         for leaf in concrete.leaves:
             node = sim_nodes.get(leaf.node_id)
             if node is None:
-                node = SimNode(node_id=leaf.node_id, job=leaf.job,
-                               hash=_canonical_hash(["sim", leaf.job.key]))
+                node = SimNode(
+                    node_id=leaf.node_id, job=leaf.job,
+                    hash=canonical_digest(["sim", leaf.job.key], 24))
                 sim_nodes[leaf.node_id] = node
             node.leaves += 1
 
@@ -389,15 +384,15 @@ def concretize(source, scale=None):
                             name=definition.name, fn=definition.fn,
                             args=dict(definition.args),
                             needs=definition.needs, parents=tuple(parents))
-        node.hash = _canonical_hash(["analysis", definition.fn,
-                                     definition.args, parent_payload])
+        node.hash = canonical_digest(["analysis", definition.fn,
+                                      definition.args, parent_payload], 24)
         analysis_nodes[definition.name] = node
         nodes.append(node)
 
-    dag_hash = _canonical_hash(
+    dag_hash = canonical_digest(
         ["dag", CONCRETIZER_VERSION,
          sorted(node.hash for node in sim_nodes.values()),
-         [node.hash for node in nodes]])
+         [node.hash for node in nodes]], 24)
     return ConcreteDAG(name=spec.name, spec=spec, sim_nodes=sim_nodes,
                        groups=groups, analyses=tuple(nodes),
                        dag_hash=dag_hash, leaf_count=leaf_count)

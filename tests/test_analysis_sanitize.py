@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -100,7 +101,8 @@ class TestViolationsAreCaught:
 
     def test_rob_occupancy_bound(self):
         core = self._core()
-        core.core_cfg.rob_size = -1     # any occupancy now violates
+        # Any occupancy now violates (the sanitizer reads core.core_cfg).
+        core.core_cfg = replace(core.core_cfg, rob_size=-1)
         with pytest.raises(SanitizerError, match="occupancy"):
             core.run()
 

@@ -1,5 +1,7 @@
 """Detailed unit tests for the PRE future-walker semantics."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import SimConfig
@@ -132,7 +134,8 @@ class TestInterval:
     def test_budget_bounds_walk(self):
         program, mem, base_a, base_b = walker_program()
         config = SimConfig()
-        config.runahead.pre_max_instructions = 7
+        config = replace(config, runahead=replace(config.runahead,
+                                                  pre_max_instructions=7))
         engine, hierarchy = make_pre(program, mem, config)
         engine.active = True
         engine._exit_cycle = 1 << 30

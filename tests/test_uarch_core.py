@@ -1,5 +1,7 @@
 """Tests for the out-of-order core timing model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import SimConfig
@@ -145,6 +147,12 @@ class TestBasicExecution:
 
 
 class TestMemoryTiming:
+    @staticmethod
+    def _no_stride_pf():
+        config = SimConfig()
+        return replace(config,
+                       stride_pf=replace(config.stride_pf, enabled=False))
+
     def _load_loop(self, n=64, dependent=False):
         a = Assembler()
         mem = GuestMemory(16 * 1024 * 1024)
@@ -169,15 +177,13 @@ class TestMemoryTiming:
 
     def test_cold_misses_cost_dram_latency(self):
         a, mem = self._load_loop(n=8)
-        config = SimConfig()
-        config.stride_pf.enabled = False
+        config = self._no_stride_pf()
         _, stats = run_program(a, config=config, memory=mem)
         # 8 sequential words = 1 cold line: at least one DRAM trip.
         assert stats.cycles > 240
 
     def test_perfect_memory_removes_miss_cost(self):
-        config = SimConfig()
-        config.stride_pf.enabled = False
+        config = self._no_stride_pf()
         a_cold, m_cold = self._load_loop(n=256, dependent=True)
         _, cold = run_program(a_cold, config=config, memory=m_cold)
         a_perf, m_perf = self._load_loop(n=256, dependent=True)
@@ -187,8 +193,7 @@ class TestMemoryTiming:
 
     def test_dependent_pointer_chase_serializes(self):
         a, mem = self._load_loop(n=64, dependent=True)
-        config = SimConfig()
-        config.stride_pf.enabled = False
+        config = self._no_stride_pf()
         _, stats = run_program(a, config=config, memory=mem)
         # Each iteration serializes on the loaded value; misses cannot
         # overlap, so cycles per iteration is large.
