@@ -109,46 +109,43 @@ def cmd_all(args):
     return 0
 
 
-def _print_tier_stats(stats, label):
-    """One cache tier's generations, as `cache stats` has always shown."""
-    root = stats.get("cache_dir") or stats.get("store_dir")
-    print(f"{label:13s} {root}")
-    print(f"current salt  {stats['current_salt']}")
-    if not stats["generations"]:
-        print("entries       0")
-    for salt, info in stats["generations"].items():
-        marker = " (current)" if salt == stats["current_salt"] else ""
-        print(f"  {salt}{marker}: {info['entries']} entries, "
-              f"{info['bytes']:,} bytes")
+def _print_tier_stats(label, stores):
+    """One tier's generations of each kind (results, artifacts)."""
+    print(f"{label:13s} {stores[0].root}")
+    print(f"current salt  {stores[0].salt}")
+    for store in stores:
+        generations = store.stats()["generations"]
+        if not generations:
+            print(f"{store.kind:13s} 0 entries")
+        for salt, info in generations.items():
+            marker = " (current)" if salt == store.salt else ""
+            print(f"{store.kind:13s} {salt}{marker}: {info['entries']} "
+                  f"entries, {info['bytes']:,} bytes")
 
 
 def cmd_cache(args):
-    from .serve.store import CacheStack, SharedStore
+    from .specs import ArtifactStore
     action = args.workload or "stats"
     context = jobs.get_context()
-    cache = context.cache
-    if isinstance(cache, jobs.NullCache):
-        cache = jobs.ResultCache(context.cache_dir)
+    kinds = (jobs.ResultCache, ArtifactStore)
     if action == "stats":
-        if isinstance(cache, CacheStack):
-            for layer in cache.layers:
-                label = ("shared store" if isinstance(layer, SharedStore)
-                         else "cache dir")
-                _print_tier_stats(layer.stats(), label)
-        else:
-            _print_tier_stats(cache.stats(), "cache dir")
+        tiers = [("cache dir", context.cache_dir)]
+        if context.store_dir:
+            tiers.append(("shared store", context.store_dir))
+        for label, root in tiers:
+            _print_tier_stats(label, [kind(root) for kind in kinds])
         ledger = jobs.RunLedger.read(context.ledger_path)
         print(f"ledger        {len(ledger)} run(s) recorded")
         return 0
-    # clear/prune operate on the machine-local tier; the shared store is
-    # fleet-wide state and gets its own lifecycle (serve daemon GC).
-    if isinstance(cache, CacheStack):
-        cache = next((layer for layer in cache.layers
-                      if isinstance(layer, jobs.ResultCache)), None) \
-            or jobs.ResultCache(context.cache_dir)
+    # clear/prune operate on the machine-local tier: the shared store is
+    # fleet-wide state other machines are reading.  It has the same
+    # layout, so naming it as --cache-dir prunes it deliberately.
+    results, artifacts = (kind(context.cache_dir) for kind in kinds)
     if action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cached result(s)")
+        removed = results.clear()
+        dropped = artifacts.clear()
+        print(f"removed {removed} cached result(s) and {dropped} "
+              f"artifact(s)")
         return 0
     if action == "prune":
         if not args.keep_current and args.max_bytes is None:
@@ -158,13 +155,14 @@ def cmd_cache(args):
                   file=sys.stderr)
             return 2
         if args.keep_current:
-            removed = cache.prune()
-            print(f"pruned {removed} stale cached result(s); "
-                  f"kept generation {cache.salt}")
+            removed = results.prune()
+            dropped = artifacts.prune()
+            print(f"pruned {removed} stale cached result(s) and {dropped} "
+                  f"stale artifact(s); kept generation {results.salt}")
         if args.max_bytes is not None:
-            evicted = cache.prune_to_bytes(args.max_bytes)
+            evicted = results.prune_to_bytes(args.max_bytes)
             print(f"evicted {evicted} oldest result(s) to fit generation "
-                  f"{cache.salt} in {args.max_bytes:,} bytes")
+                  f"{results.salt} in {args.max_bytes:,} bytes")
         return 0
     print(f"unknown cache action {action!r} (expected: stats, clear, prune)",
           file=sys.stderr)
@@ -386,11 +384,11 @@ def cmd_serve(args):
     """`repro serve`: run the always-on sweep daemon until interrupted."""
     from .cluster import TLSConfig
     from .cluster.protocol import parse_address
-    from .serve import ServeDaemon, SharedStore, default_store_dir
+    from .serve import ServeDaemon
     tls = TLSConfig.from_args(args, server_side=True)
     host, port = parse_address(args.bind)
-    store_dir = args.store or default_store_dir()
-    store = SharedStore(store_dir) if store_dir else None
+    store_dir = args.store or jobs.default_store_dir()
+    store = jobs.ResultCache(store_dir) if store_dir else None
     context = jobs.get_context()
     kwargs = {}
     if args.secret:                  # else fall back to $REPRO_CLUSTER_SECRET
@@ -449,9 +447,7 @@ def cmd_report(args):
     if not os.path.exists(path):
         print(f"no ledger at {path}", file=sys.stderr)
         return 1
-    cache = context.cache
-    if isinstance(cache, jobs.NullCache):
-        cache = jobs.ResultCache(context.cache_dir)
+    cache = jobs.ResultCache.tiered(context.cache_dir, context.store_dir)
     print(render_ledger_report(summarize_ledger(path, cache=cache)))
     return 0
 
@@ -651,9 +647,10 @@ def main(argv=None):
                              "sha256 fingerprint instead of a CA file "
                              "(default: $REPRO_TLS_FINGERPRINT)")
     parser.add_argument("--store", default=None, metavar="DIR",
-                        help="shared content-addressed result store "
-                             "directory (default: $REPRO_STORE_DIR; sweeps "
-                             "and the serve daemon share hits through it)")
+                        help="shared content-addressed store directory, "
+                             "laid out like --cache-dir (default: "
+                             "$REPRO_STORE_DIR; sweeps and the serve daemon "
+                             "share hits through it)")
     parser.add_argument("--resume", action="store_true",
                         help="sweep: replay specs the run ledger already "
                              "records as completed; dispatch only the "

@@ -222,7 +222,7 @@ class FaultyCache:
 
     def put(self, spec, metrics):
         self._inner.put(spec, metrics)
-        path = self._inner._path(spec)
+        path = self._inner._path(spec.key)
         if self._injector.decide("cache.truncate", spec.key) is not None:
             self._damage(path, truncate=True)
         if self._injector.decide("cache.corrupt", spec.key) is not None:

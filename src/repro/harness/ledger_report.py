@@ -22,8 +22,6 @@ jobs belong to?").
 
 from __future__ import annotations
 
-import os
-
 from ..jobs.ledger import RunLedger
 from .report import format_table, hmean
 
@@ -35,9 +33,9 @@ def summarize_ledger(path, cache=None):
 
     Returns a dict with ``points`` (one entry per completed spec key,
     sorted by label then technique), ``failed`` (keys whose latest
-    record is a failure), and ``totals``.  ``cache`` (a ``ResultCache``)
-    adds a count of how many points are present in the current cache
-    generation.
+    record is a failure), and ``totals``.  ``cache`` (a ``ResultCache``
+    or a tiered ``CacheStack``) adds a count of how many points are
+    present in the current cache generation.
     """
     records = RunLedger.read(path)
     latest = {}
@@ -95,10 +93,8 @@ def summarize_ledger(path, cache=None):
                       if record.get("worker") is not None})
     cached_now = None
     if cache is not None:
-        cached_now = sum(
-            1 for record in points
-            if os.path.exists(os.path.join(cache.results_dir,
-                                           f"{record['key']}.json")))
+        cached_now = sum(1 for record in points
+                         if cache.contains(record["key"]))
     totals = {
         "records": len(records),
         "points": len(points),

@@ -1,19 +1,26 @@
-"""Disk-backed result cache keyed by JobSpec content hash + code version.
+"""Content-addressed stores: sim results and analysis artifacts, tiered.
 
-Layout::
+Layout, the same for a local cache dir and a shared store dir::
 
-    <cache_dir>/results/<salt>/<spec-key>.json    # one Metrics per file
-    <cache_dir>/runs.jsonl                        # run ledger (see ledger.py)
+    <dir>/results/<salt>/<spec-key>.json      # one Metrics per file
+    <dir>/artifacts/<salt>/<node-hash>.json   # one analysis table per file
+    <cache_dir>/runs.jsonl                    # run ledger (see ledger.py)
 
 The *salt* is a hash over every ``repro`` source file, so any code change
-invalidates previous results wholesale -- stale entries from older builds
+invalidates previous entries wholesale -- stale entries from older builds
 can never satisfy a lookup.  Entries are written atomically (temp file +
-rename) so concurrent executors on the same cache directory are safe.
+rename) so concurrent executors on the same directory are safe.
 
-Every entry carries a sha256 checksum over its canonical metrics JSON:
-a torn write, bit rot, or a hand-edited file degrades to a cache *miss*
-(the spec is simply re-simulated) instead of crashing the executor or
-silently feeding a sweep wrong ``Metrics``.
+Every entry carries a sha256 checksum over the canonical JSON of its
+payload: a torn write, bit rot, or a hand-edited file degrades to a
+*miss* (the spec is simply re-simulated, the analysis recomputed)
+instead of crashing the run or silently feeding it wrong data.
+
+:class:`ContentStore` holds all of that for one kind in one directory;
+:class:`ResultCache` and :class:`~repro.specs.artifacts.ArtifactStore`
+only say how their values are keyed and decoded.  :class:`CacheStack`
+layers a machine-local directory over a shared one (``--store``) for
+either kind.
 """
 
 from __future__ import annotations
@@ -25,18 +32,21 @@ import tempfile
 import warnings
 from contextlib import contextmanager
 
+from ..analysis.threadsan import make_lock, thread_safe
+
 try:
     import fcntl
 except ImportError:              # non-POSIX: degrade to unlocked behaviour
     fcntl = None
 
 _ENV_DIR = "REPRO_CACHE_DIR"
+_ENV_STORE = "REPRO_STORE_DIR"
 _code_salt = None
 
 
 @contextmanager
 def generation_lock(root_dir, *, exclusive=False):
-    """Advisory file lock over a result-store root (``<root>/.lock``).
+    """Advisory file lock over a store's kind directory (``<root>/.lock``).
 
     Writers take the lock *shared* (atomic temp-file + rename already
     makes them safe against each other) and pruners take it *exclusive*,
@@ -72,6 +82,11 @@ def default_cache_dir():
     return os.path.join(base, "repro")
 
 
+def default_store_dir():
+    """``$REPRO_STORE_DIR``, or ``None`` -- there is no implicit store."""
+    return os.environ.get(_ENV_STORE) or None
+
+
 def code_salt():
     """Hash of the whole ``repro`` package source (cached per process)."""
     global _code_salt
@@ -98,163 +113,194 @@ def metrics_checksum(metrics_dict):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-class ResultCache:
-    """Maps :class:`~repro.jobs.spec.JobSpec` -> cached ``Metrics``."""
+def _remove_tree(top):
+    """Delete ``top`` and everything under it; returns the file count."""
+    removed = 0
+    for dirpath, _dirnames, filenames in os.walk(top, topdown=False):
+        for filename in filenames:
+            os.unlink(os.path.join(dirpath, filename))
+            removed += 1
+        os.rmdir(dirpath)
+    return removed
 
-    def __init__(self, cache_dir=None, salt=None):
-        self.cache_dir = cache_dir or default_cache_dir()
+
+@thread_safe
+class ContentStore:
+    """One kind of content-addressed entry under one directory.
+
+    A subclass names its ``kind`` (the subdirectory) and the payload
+    ``field`` the checksum covers, and defines ``get``/``put`` over
+    :meth:`_read` and :meth:`_write`.  Entries are immutable -- a key's
+    bytes are fully determined by its content hash -- so readers need
+    no coordination.  The session counters are bumped on whichever
+    thread calls ``get`` (the serve daemon's scheduler) and read by
+    STATUS replies on connection threads, so they live under a lock.
+    """
+
+    kind = None
+    field = None
+
+    def __init__(self, root=None, salt=None):
+        self.root = root or default_cache_dir()
         self.salt = salt or code_salt()
-        self.results_dir = os.path.join(self.cache_dir, "results", self.salt)
+        self.kind_dir = os.path.join(self.root, self.kind)
+        self.generation_dir = os.path.join(self.kind_dir, self.salt)
+        self._counter_lock = make_lock(f"{type(self).__name__}._counter_lock")
         self.hits = 0
         self.misses = 0
         self.corrupt = 0             # entries rejected by checksum/schema
 
-    def _path(self, spec):
-        return os.path.join(self.results_dir, f"{spec.key}.json")
+    @classmethod
+    def tiered(cls, cache_dir, store_dir=None):
+        """This kind in ``cache_dir``, stacked over ``store_dir`` if set."""
+        local = cls(cache_dir)
+        return CacheStack(local, cls(store_dir)) if store_dir else local
 
-    def _reject(self, spec, reason):
+    def _path(self, key):
+        return os.path.join(self.generation_dir, f"{key}.json")
+
+    def contains(self, key):
+        """Existence probe: nothing is read, decoded or counted."""
+        return os.path.exists(self._path(key))
+
+    def _reject(self, key, reason):
         """Corrupt entry: count it, warn, drop the file, miss."""
-        self.corrupt += 1
-        self.misses += 1
-        warnings.warn(f"cache entry {spec.key}.json is corrupt ({reason}); "
-                      f"treating as a miss and re-simulating",
-                      RuntimeWarning, stacklevel=3)
+        with self._counter_lock:
+            self.corrupt += 1
+            self.misses += 1
+        warnings.warn(f"entry {self.kind}/{key}.json is corrupt ({reason}); "
+                      f"treating as a miss", RuntimeWarning, stacklevel=4)
         try:
-            os.unlink(self._path(spec))
+            os.unlink(self._path(key))
         except OSError:
             pass                     # concurrent eviction, read-only dir
         return None
 
-    def get(self, spec):
-        """Cached :class:`Metrics` for ``spec``, or ``None``.
+    def _read(self, key, decode=None):
+        """The checked payload stored under ``key`` (decoded), or ``None``.
 
         Any defect -- unreadable JSON, a missing or mismatching
-        checksum, or a payload ``Metrics.from_dict`` cannot rebuild --
-        degrades to a miss (the entry is discarded so the next ``put``
-        replaces it), never an exception and never wrong metrics.
+        checksum, or a payload ``decode`` cannot rebuild -- degrades to
+        a miss (the entry is discarded so the next ``put`` replaces it),
+        never an exception and never a wrong value.
         """
-        # Lazy import: repro.harness pulls in this package at import time.
-        from ..harness.metrics import Metrics
         try:
-            with open(self._path(spec)) as handle:
+            with open(self._path(key)) as handle:
                 payload = json.load(handle)
         except FileNotFoundError:
-            self.misses += 1
+            with self._counter_lock:
+                self.misses += 1
             return None
         except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            return self._reject(spec, "undecodable JSON")
-        if not isinstance(payload, dict) or "metrics" not in payload:
-            return self._reject(spec, "no metrics payload")
+            return self._reject(key, "undecodable JSON")
+        if not isinstance(payload, dict) or self.field not in payload:
+            return self._reject(key, f"no {self.field} payload")
+        value = payload[self.field]
         recorded = payload.get("sha256")
-        actual = metrics_checksum(payload["metrics"])
-        if recorded != actual:
+        if recorded != metrics_checksum(value):
             return self._reject(
-                spec, "checksum mismatch" if recorded else "no checksum")
-        try:
-            metrics = Metrics.from_dict(payload["metrics"])
-        except Exception as error:
-            # Valid JSON, right checksum, but a schema the current code
-            # cannot rebuild (should be impossible within one salt
-            # generation -- defend anyway).
-            return self._reject(spec, f"schema mismatch: {error!r}")
-        self.hits += 1
-        return metrics
+                key, "checksum mismatch" if recorded else "no checksum")
+        if decode is not None:
+            try:
+                value = decode(value)
+            except Exception as error:
+                # Valid JSON, right checksum, but a schema the current
+                # code cannot rebuild (should be impossible within one
+                # salt generation -- defend anyway).
+                return self._reject(key, f"schema mismatch: {error!r}")
+        with self._counter_lock:
+            self.hits += 1
+        return value
 
-    def _lock_root(self):
-        return os.path.join(self.cache_dir, "results")
-
-    def put(self, spec, metrics):
-        """Persist ``metrics`` atomically; concurrent writers are safe.
+    def _write(self, key, value, **header):
+        """Publish ``value`` (after ``header``) atomically under ``key``.
 
         The generation lock is held *shared* across the temp-file write
-        and the rename, so a concurrent prune (which takes it exclusive)
-        can never evict the entry -- or delete the temp file -- between
-        the two steps.
+        and the rename, so a concurrent prune or clear (which take it
+        exclusive) can never evict the entry -- or delete the temp file
+        or its directory -- between the steps.  A concurrent writer of
+        the same key writes identical bytes, so that race is benign.
         """
-        os.makedirs(self.results_dir, exist_ok=True)
-        metrics_dict = metrics.to_dict()
-        payload = {"spec": spec.to_dict(), "metrics": metrics_dict,
-                   "sha256": metrics_checksum(metrics_dict)}
-        with generation_lock(self._lock_root()):
-            fd, tmp_path = tempfile.mkstemp(dir=self.results_dir,
+        payload = dict(header)
+        payload[self.field] = value
+        payload["sha256"] = metrics_checksum(value)
+        with generation_lock(self.kind_dir):
+            os.makedirs(self.generation_dir, exist_ok=True)
+            fd, tmp_path = tempfile.mkstemp(dir=self.generation_dir,
                                             suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as handle:
                     json.dump(payload, handle)
-                os.replace(tmp_path, self._path(spec))
+                os.replace(tmp_path, self._path(key))
             except BaseException:
                 if os.path.exists(tmp_path):
                     os.unlink(tmp_path)
                 raise
 
     # ------------------------------------------------------------------
+    def _generations(self):
+        """``{salt: directory}`` for every generation on disk."""
+        if not os.path.isdir(self.kind_dir):
+            return {}
+        generations = {}
+        for salt in sorted(os.listdir(self.kind_dir)):
+            gen_dir = os.path.join(self.kind_dir, salt)
+            if os.path.isdir(gen_dir):
+                generations[salt] = gen_dir
+        return generations
+
     def stats(self):
         """Whole-directory view: entries/bytes per salt generation."""
-        results_root = os.path.join(self.cache_dir, "results")
         generations = {}
-        if os.path.isdir(results_root):
-            for salt in sorted(os.listdir(results_root)):
-                gen_dir = os.path.join(results_root, salt)
-                if not os.path.isdir(gen_dir):
-                    continue
-                entries = [name for name in os.listdir(gen_dir)
-                           if name.endswith(".json")]
-                total = sum(
-                    os.path.getsize(os.path.join(gen_dir, name))
-                    for name in entries)
-                generations[salt] = {"entries": len(entries), "bytes": total}
-        return {
-            "cache_dir": self.cache_dir,
-            "current_salt": self.salt,
-            "generations": generations,
-            "session_hits": self.hits,
-            "session_misses": self.misses,
-            "session_corrupt": self.corrupt,
-        }
+        for salt, gen_dir in self._generations().items():
+            entries = 0
+            total = 0
+            for dirpath, _dirnames, filenames in os.walk(gen_dir):
+                for name in filenames:
+                    if not name.endswith(".json"):
+                        continue
+                    entries += 1
+                    try:
+                        total += os.path.getsize(os.path.join(dirpath, name))
+                    except OSError:
+                        pass         # concurrent eviction
+            generations[salt] = {"entries": entries, "bytes": total}
+        return {"root": self.root, "current_salt": self.salt,
+                "generations": generations}
 
     def prune(self):
         """Delete every *stale* generation (salt != current). Returns count.
 
-        Any source change re-salts the cache, so old generations can
+        Any source change re-salts the store, so old generations can
         never be read again; pruning reclaims their disk without losing
-        results the current build could still reuse.
+        entries the current build could still reuse.
         """
-        results_root = os.path.join(self.cache_dir, "results")
-        removed = 0
-        if not os.path.isdir(results_root):
-            return removed
+        if not os.path.isdir(self.kind_dir):
+            return 0
         # Exclusive generation lock across the whole scan: a concurrent
         # writer (shared lock) can never lose an entry -- or its
         # in-flight temp file -- to a racing prune.
-        with generation_lock(self._lock_root(), exclusive=True):
-            for salt in os.listdir(results_root):
-                gen_dir = os.path.join(results_root, salt)
-                if salt == self.salt or not os.path.isdir(gen_dir):
-                    continue
-                for dirpath, _dirnames, filenames in os.walk(gen_dir,
-                                                             topdown=False):
-                    for filename in filenames:
-                        os.unlink(os.path.join(dirpath, filename))
-                        removed += 1
-                    os.rmdir(dirpath)
-        return removed
+        with generation_lock(self.kind_dir, exclusive=True):
+            return sum(_remove_tree(gen_dir)
+                       for salt, gen_dir in self._generations().items()
+                       if salt != self.salt)
 
     def prune_to_bytes(self, max_bytes):
         """Evict oldest-mtime entries of the *current* generation until it
         fits in ``max_bytes``.  Returns the number of entries removed.
 
         Stale generations are the business of :meth:`prune`; the size
-        budget applies to results the current build could still reuse,
+        budget applies to entries the current build could still reuse,
         trading the least-recently-written ones for disk space.
         """
-        if not os.path.isdir(self.results_dir):
+        if not os.path.isdir(self.generation_dir):
             return 0
-        with generation_lock(self._lock_root(), exclusive=True):
+        with generation_lock(self.kind_dir, exclusive=True):
             entries = []
-            for name in sorted(os.listdir(self.results_dir)):
+            for name in sorted(os.listdir(self.generation_dir)):
                 if not name.endswith(".json"):
                     continue
-                path = os.path.join(self.results_dir, name)
+                path = os.path.join(self.generation_dir, name)
                 try:
                     stat = os.stat(path)
                 except FileNotFoundError:      # concurrent eviction
@@ -275,21 +321,33 @@ class ResultCache:
         return removed
 
     def clear(self):
-        """Delete every cached result (all generations). Returns count."""
-        results_root = os.path.join(self.cache_dir, "results")
-        removed = 0
-        if os.path.isdir(results_root):
-            with generation_lock(self._lock_root(), exclusive=True):
-                for dirpath, _dirnames, filenames in os.walk(results_root,
-                                                             topdown=False):
-                    for filename in filenames:
-                        if filename == ".lock":
-                            continue     # the generation-lock file itself
-                        os.unlink(os.path.join(dirpath, filename))
-                        removed += 1
-                    if dirpath != results_root:
-                        os.rmdir(dirpath)
-        return removed
+        """Delete every entry of this kind (all generations). Returns count.
+
+        The lock file itself stays, so later writers still serialize
+        against later prunes.
+        """
+        if not os.path.isdir(self.kind_dir):
+            return 0
+        with generation_lock(self.kind_dir, exclusive=True):
+            return sum(_remove_tree(gen_dir)
+                       for gen_dir in self._generations().values())
+
+
+class ResultCache(ContentStore):
+    """Maps :class:`~repro.jobs.spec.JobSpec` -> cached ``Metrics``."""
+
+    kind = "results"
+    field = "metrics"
+
+    def get(self, spec):
+        """Cached :class:`Metrics` for ``spec``, or ``None`` on a miss."""
+        # Lazy import: repro.harness pulls in this package at import time.
+        from ..harness.metrics import Metrics
+        return self._read(spec.key, Metrics.from_dict)
+
+    def put(self, spec, metrics):
+        """Persist ``metrics`` atomically; concurrent writers are safe."""
+        self._write(spec.key, metrics.to_dict(), spec=spec.to_dict())
 
 
 class NullCache:
@@ -305,3 +363,41 @@ class NullCache:
 
     def put(self, spec, metrics):
         pass
+
+    def contains(self, key):
+        return False
+
+
+class CacheStack:
+    """Tiered store: a fast local tier over a shared one.
+
+    ``get`` consults tiers in order and *backfills* upper tiers on a
+    lower-tier hit (the second lookup is local); ``put`` publishes to
+    every tier, so a run against a stack warms both the machine's own
+    cache and the fleet-wide store.  Works for either kind -- result
+    caches keyed by spec, artifact stores keyed by node hash -- and
+    quacks like a single tier for the executor and the DAG runner.
+    """
+
+    def __init__(self, *layers):
+        self.layers = [layer for layer in layers if layer is not None]
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, item):
+        for depth, layer in enumerate(self.layers):
+            value = layer.get(item)
+            if value is not None:
+                self.hits += 1
+                for upper in self.layers[:depth]:
+                    upper.put(item, value)
+                return value
+        self.misses += 1
+        return None
+
+    def put(self, item, value):
+        for layer in self.layers:
+            layer.put(item, value)
+
+    def contains(self, key):
+        return any(layer.contains(key) for layer in self.layers)

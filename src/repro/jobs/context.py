@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import os
 
-from .cache import NullCache, ResultCache, default_cache_dir
+from .cache import (NullCache, ResultCache, default_cache_dir,
+                    default_store_dir)
 from .executor import Executor, SweepFailureReport
 from .ledger import NullLedger, RunLedger
 
@@ -32,18 +33,9 @@ class ExecutionContext:
         #: the local per-machine cache is stacked over the fleet-wide
         #: content-addressed store, so independent sweeps (and the serve
         #: daemon) share hits through one path.
-        if store is None:
-            from ..serve.store import default_store_dir
-            store = default_store_dir()
-        self.store_dir = store
-        if no_cache:
-            self.cache = NullCache()
-        elif self.store_dir:
-            from ..serve.store import CacheStack, SharedStore
-            self.cache = CacheStack(ResultCache(self.cache_dir),
-                                    SharedStore(self.store_dir))
-        else:
-            self.cache = ResultCache(self.cache_dir)
+        self.store_dir = default_store_dir() if store is None else store
+        self.cache = (NullCache() if no_cache
+                      else ResultCache.tiered(self.cache_dir, self.store_dir))
         # The ledger records runs even when result reuse is off.
         if ledger_path is None:
             ledger_path = os.path.join(self.cache_dir, "runs.jsonl")

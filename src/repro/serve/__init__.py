@@ -6,7 +6,8 @@ serves sweep submissions from many concurrent clients (``repro
 submit``) over the protocol-v3 framed-TCP API -- TLS under the HMAC
 handshake, round-robin fair-share across client sessions with
 longest-expected-first within each, cross-sweep dedup of identical
-specs, and a content-addressed :class:`SharedStore` that every
+specs, and a shared content-addressed store (a
+:class:`~repro.jobs.cache.ResultCache` on ``--store DIR``) that every
 coordinator (and every daemon restart) reads and writes, so cache hits
 are fleet-wide instead of per-process.
 """
@@ -15,10 +16,8 @@ from .client import ServeClient, ServeExecutor, ServeRejected
 from .daemon import ServeDaemon
 from .fairshare import FairShareQueue, ServeJob
 from .sessions import Session, SessionRegistry, Sweep
-from .store import CacheStack, SharedStore, default_store_dir
 
 __all__ = [
-    "CacheStack",
     "FairShareQueue",
     "ServeClient",
     "ServeDaemon",
@@ -27,7 +26,5 @@ __all__ = [
     "ServeRejected",
     "Session",
     "SessionRegistry",
-    "SharedStore",
     "Sweep",
-    "default_store_dir",
 ]

@@ -11,9 +11,9 @@ the client's recv timeout the same way.
 ``Executor.run(specs) -> [Metrics]`` contract: dedup, local cache
 lookups, ledger records, progress, and input-order results are the
 shared code paths, so a daemon-served sweep is bit-identical to a local
-one.  Results the daemon pulled from its :class:`~.store.SharedStore`
-arrive flagged ``cached`` and are recorded as ledger hits (worker
-``"store"``) so they can never teach the cost model a zero-second rate.
+one.  Results the daemon pulled from its shared store arrive flagged
+``cached`` and are recorded as ledger hits (worker ``"store"``) so they
+can never teach the cost model a zero-second rate.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ event queue:
   is *joined*, not re-run: every watching (session, sweep) receives the
   one result when it lands;
 * **the shared store** -- results are published to a
-  :class:`~.store.SharedStore` before they are streamed, so any other
-  coordinator (or this daemon after a restart) serves them as cache
-  hits.
+  :class:`~repro.jobs.cache.ResultCache` on the store directory before
+  they are streamed, so any other coordinator (or this daemon after a
+  restart) serves them as cache hits.
 
 The daemon survives the cluster fault matrix unchanged (dead workers
 requeue leases with backoff, stuck jobs expire, stale-salt dialers are
@@ -76,7 +76,8 @@ class ServeDaemon:
             secret=secret, tls=tls)
         self.coordinator.client_handler = self._client_session
         self.coordinator.status_extra = self._status_extra
-        #: SharedStore (or any get/put cache); None disables result reuse.
+        #: ResultCache on the store dir (or any get/put cache); None
+        #: disables result reuse.
         self.store = store
         #: Daemon-side ledger: feeds the cost model and audits the fleet.
         self.ledger = ledger if ledger is not None else NullLedger()

@@ -14,13 +14,13 @@ The pipeline has four layers, one module each:
 - :mod:`.dag` / :mod:`.artifacts` -- execution: a topological frontier
   scheduler that pushes sim nodes through the standard Executor (any
   backend) and runs analyses in-process as artifacts arrive, cached by
-  node hash in the tiered :class:`ArtifactStore`.
+  node hash in the :class:`ArtifactStore` (local, over ``--store``).
 
 Checked-in specs live in ``specs/*.toml`` at the repo root; run them
 with ``repro env run --spec specs/fig7.toml``.
 """
 
-from .artifacts import ArtifactStore, artifact_roots
+from .artifacts import ArtifactStore
 from .concretize import (CONCRETIZER_VERSION, AnalysisNode, ConcreteDAG,
                          ConcreteGroup, GroupResult, Leaf, SimNode,
                          apply_knob, apply_knobs, concretize)
@@ -50,7 +50,6 @@ __all__ = [
     "analysis",
     "apply_knob",
     "apply_knobs",
-    "artifact_roots",
     "concretize",
     "load_spec",
     "parse_mini_toml",

@@ -1,132 +1,35 @@
 """Artifact cache: analysis results keyed by DAG node hash.
 
 The sim half of a DAG is already cached by ``repro.jobs``
-(:class:`ResultCache` locally, :class:`SharedStore` fleet-wide); this is
-the matching store for the *analysis* half.  An artifact is the JSON
-table an analysis node produced; its key is the node's content hash,
-which covers the function, its args, and the full identity of every
-upstream sim -- so a hit is sound by construction, and editing one knob
-upstream re-keys (invalidates) exactly the affected subgraph.
+(:class:`~repro.jobs.cache.ResultCache`); this is the matching store for
+the *analysis* half.  An artifact is the JSON table an analysis node
+produced; its key is the node's content hash, which covers the function,
+its args, and the full identity of every upstream sim -- so a hit is
+sound by construction, and editing one knob upstream re-keys
+(invalidates) exactly the affected subgraph.
 
-Layout mirrors the result tiers so artifacts live next to the results
-they derive from::
+Artifacts live next to the results they derive from, in the same
+:class:`~repro.jobs.cache.ContentStore` layout and tiers::
 
-    <cache_dir>/artifacts/<code salt>/<hash[:2]>/<hash>.json   # local
-    <store_dir>/artifacts/<code salt>/<hash[:2]>/<hash>.json   # shared
-
-Entries carry a sha256 checksum over the canonical artifact JSON and
-degrade to a miss on any defect (torn write, bit rot, hand edits),
-exactly like the result caches.  Writes are atomic (temp file + rename)
-under the shared generation lock, so concurrent DAG runs and cache
-pruning stay safe.
+    <cache_dir>/artifacts/<code salt>/<hash>.json   # local
+    <store_dir>/artifacts/<code salt>/<hash>.json   # shared (--store)
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-import warnings
-
-from ..jobs.cache import code_salt, generation_lock, metrics_checksum
-
-_SUBDIR = "artifacts"
+from ..jobs.cache import ContentStore
 
 
-def artifact_roots(context):
-    """Artifact tiers for an execution context: local, then shared store."""
-    roots = [os.path.join(context.cache_dir, _SUBDIR)]
-    store_dir = getattr(context, "store_dir", None)
-    if store_dir:
-        roots.append(os.path.join(store_dir, _SUBDIR))
-    return roots
+class ArtifactStore(ContentStore):
+    """Content-addressed ``node hash -> artifact dict`` store."""
 
-
-class ArtifactStore:
-    """Content-addressed ``node hash -> artifact dict`` store, tiered.
-
-    ``get`` probes every root in order; ``put`` publishes to all of
-    them, so a hit in the local tier and a miss in the shared one heals
-    on the next write.  Session counters (`hits`/`misses`/`corrupt`)
-    feed ``--dry-run`` previews and the invalidation tests.
-    """
-
-    def __init__(self, roots, salt=None):
-        if isinstance(roots, str):
-            roots = [roots]
-        self.roots = list(roots)
-        self.salt = salt or code_salt()
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-
-    def _path(self, root, node_hash):
-        return os.path.join(root, self.salt, node_hash[:2],
-                            f"{node_hash}.json")
-
-    def _reject(self, root, node_hash, reason):
-        self.corrupt += 1
-        warnings.warn(f"artifact entry {node_hash[:8]} is corrupt "
-                      f"({reason}); treating as a miss and recomputing",
-                      RuntimeWarning, stacklevel=4)
-        try:
-            os.unlink(self._path(root, node_hash))
-        except OSError:
-            pass                     # concurrent eviction, read-only tier
+    kind = "artifacts"
+    field = "artifact"
 
     def get(self, node_hash):
-        """The cached artifact for a node hash, or ``None``.
+        """The cached artifact for a node hash, or ``None`` on a miss."""
+        return self._read(node_hash)
 
-        Defective entries (undecodable, checksum mismatch) are dropped
-        and skipped, never returned and never fatal.
-        """
-        for root in self.roots:
-            try:
-                with open(self._path(root, node_hash)) as handle:
-                    payload = json.load(handle)
-            except FileNotFoundError:
-                continue
-            except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-                self._reject(root, node_hash, "undecodable JSON")
-                continue
-            if not isinstance(payload, dict) or "artifact" not in payload:
-                self._reject(root, node_hash, "no artifact payload")
-                continue
-            if payload.get("sha256") != metrics_checksum(payload["artifact"]):
-                self._reject(root, node_hash, "checksum mismatch")
-                continue
-            self.hits += 1
-            return payload["artifact"]
-        self.misses += 1
-        return None
-
-    def contains(self, node_hash):
-        """Existence probe (no counter bumps) -- the dry-run preview."""
-        return any(os.path.exists(self._path(root, node_hash))
-                   for root in self.roots)
-
-    def put(self, node_hash, artifact, meta=None):
-        """Publish ``artifact`` under ``node_hash`` in every tier."""
-        payload = {"artifact": artifact,
-                   "sha256": metrics_checksum(artifact)}
-        if meta:
-            payload["node"] = meta
-        for root in self.roots:
-            target = self._path(root, node_hash)
-            directory = os.path.dirname(target)
-            os.makedirs(directory, exist_ok=True)
-            with generation_lock(root):
-                fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "w") as handle:
-                        json.dump(payload, handle)
-                    os.replace(tmp_path, target)
-                except BaseException:
-                    if os.path.exists(tmp_path):
-                        os.unlink(tmp_path)
-                    raise
-
-    def stats(self):
-        return {"roots": list(self.roots), "salt": self.salt,
-                "session_hits": self.hits, "session_misses": self.misses,
-                "session_corrupt": self.corrupt}
+    def put(self, node_hash, artifact):
+        """Publish ``artifact`` under ``node_hash`` atomically."""
+        self._write(node_hash, artifact)

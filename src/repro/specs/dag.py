@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 
 from ..jobs.context import get_context, run_specs
-from .artifacts import ArtifactStore, artifact_roots
+from .artifacts import ArtifactStore
 from .concretize import (CONCRETIZER_VERSION, ConcreteDAG, GroupResult,
                          concretize)
 from .format import SpecError
@@ -69,7 +69,8 @@ class DagRunner:
         self.dag = dag
         self.context = context or get_context()
         self.artifacts = (artifacts if artifacts is not None
-                          else ArtifactStore(artifact_roots(self.context)))
+                          else ArtifactStore.tiered(self.context.cache_dir,
+                                                    self.context.store_dir))
 
     # ------------------------------------------------------------------
     def dry_run(self):
@@ -78,12 +79,11 @@ class DagRunner:
         Returns the DAG stats plus the topological levels and a
         cache-hit preview: how many sim nodes the result cache already
         holds, and how many analyses the artifact store can re-serve.
+        Both are existence probes: nothing is decoded or backfilled.
         """
         dag = self.dag
-        sim_cached = sum(
-            1 for node_id in dag.sim_nodes
-            if self.context.cache.get(dag.sim_nodes[node_id].job)
-            is not None)
+        sim_cached = sum(1 for node in dag.sim_nodes.values()
+                         if self.context.cache.contains(node.job.key))
         artifact_cached = sum(1 for node in dag.analyses
                               if self.artifacts.contains(node.hash))
         return {
@@ -218,10 +218,7 @@ class DagRunner:
                 if artifact is None:
                     artifact = _normalize(ANALYSES[node.fn](inputs,
                                                             node.args))
-                    self.artifacts.put(node.hash, artifact,
-                                       meta={"spec": dag.name,
-                                             "analysis": node.name,
-                                             "fn": node.fn})
+                    self.artifacts.put(node.hash, artifact)
                     computed += 1
                 else:
                     served += 1

@@ -25,8 +25,8 @@ from repro.analysis.threadsan import (ThreadSanitizerError, guarded_by,
 from repro.cluster import Worker
 from repro.config import SimConfig, TECH_OOO
 from repro.harness.runner import run_spec
-from repro.jobs import JobSpec, RunLedger
-from repro.serve import ServeClient, ServeDaemon, SharedStore
+from repro.jobs import JobSpec, ResultCache, RunLedger
+from repro.serve import ServeClient, ServeDaemon
 
 
 def lint_source(source, relpath="serve/fixture.py", rules=None):
@@ -463,7 +463,7 @@ def _serve_sweep(tmp_path):
                                       ).with_technique(TECH_OOO),
                      seed=seed)
              for seed, w in enumerate(["nas-is", "kangaroo"], start=1)]
-    store = SharedStore(str(tmp_path / "store"))
+    store = ResultCache(str(tmp_path / "store"))
     ledger = RunLedger(str(tmp_path / "runs.jsonl"))
     daemon = ServeDaemon(store=store, ledger=ledger, quiet=True,
                          retry_base=0.05, retry_cap=0.2, job_timeout=120)

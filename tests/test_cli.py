@@ -1,10 +1,27 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
 import os
 
 import pytest
 
 from repro.__main__ import main
+
+
+def _mini_spec(tmp_path):
+    """A two-sim spec (kangaroo, ooo vs dvr) with one table; its path."""
+    spec_path = tmp_path / "mini.json"
+    spec_path.write_text(json.dumps({
+        "spec": {"name": "mini"},
+        "matrix": {"name": "grid",
+                   "workloads": [{"workload": "kangaroo"}],
+                   "techniques": ["ooo", "dvr"],
+                   "knobs": {"max_instructions": [800]}},
+        "analysis": {"table": {
+            "fn": "speedup_table", "needs": ["grid"],
+            "args": {"columns": ["dvr"], "title": "mini table"}}},
+    }))
+    return str(spec_path)
 
 
 class TestCli:
@@ -56,19 +73,27 @@ class TestJobsFlags:
     def test_cache_dir_flag_and_stats_and_clear(self, capsys, tmp_path,
                                                 tiny_graph):
         import os
+        from repro.specs import ArtifactStore
         cache_dir = str(tmp_path / "cli-cache")
         assert main(["fig11", "--instructions", "500", "--graphs",
                      tiny_graph, "--cache-dir", cache_dir]) == 0
         capsys.readouterr()
         assert os.path.exists(os.path.join(cache_dir, "runs.jsonl"))
+        artifacts = ArtifactStore(cache_dir)
+        artifacts.put("a1" * 12, {"title": "t", "headers": [], "rows": [],
+                                  "notes": ""})
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
         assert "cache dir" in out and "entries" in out
+        assert f"artifacts     {artifacts.salt} (current): 1 entries" in out
         assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
-        assert "removed" in out
+        assert "removed" in out and "and 1 artifact(s)" in out
+        assert not artifacts.contains("a1" * 12)
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
-        assert "0" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "results       0 entries" in out
+        assert "artifacts     0 entries" in out
 
     def test_cache_unknown_action(self, capsys):
         assert main(["cache", "defrag"]) == 2
@@ -86,16 +111,20 @@ class TestJobsFlags:
         assert main(["fig11", "--instructions", "500", "--graphs",
                      tiny_graph, "--cache-dir", cache_dir]) == 0
         capsys.readouterr()
-        # Plant a stale generation next to the freshly-written current one.
-        stale_dir = os.path.join(cache_dir, "results", "deadbeef0000")
-        os.makedirs(stale_dir)
-        with open(os.path.join(stale_dir, "x.json"), "w") as handle:
-            handle.write("{}")
+        # Plant a stale generation of each kind next to the current one.
+        stale_dirs = [os.path.join(cache_dir, kind, "deadbeef0000")
+                      for kind in ("results", "artifacts")]
+        for stale_dir in stale_dirs:
+            os.makedirs(stale_dir)
+            with open(os.path.join(stale_dir, "x.json"), "w") as handle:
+                handle.write("{}")
         assert main(["cache", "prune", "--keep-current",
                      "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
-        assert "pruned 1" in out
-        assert not os.path.exists(stale_dir)
+        assert "pruned 1 stale cached result(s) and 1 stale artifact(s)" \
+            in out
+        for stale_dir in stale_dirs:
+            assert not os.path.exists(stale_dir)
         current_dir = os.path.join(cache_dir, "results", code_salt())
         assert os.listdir(current_dir)
 
@@ -182,6 +211,18 @@ class TestReportCommand:
         assert "vs ooo" in out
         # Baselines present, so a harmonic-mean speedup line is rendered.
         assert "h-mean speedup over ooo" in out
+
+    def test_report_counts_points_in_a_shared_store(self, capsys,
+                                                    tmp_path):
+        tiers = ["--store", str(tmp_path / "store"),
+                 "--cache-dir", str(tmp_path / "cache")]
+        assert main(["env", "run", "--spec", _mini_spec(tmp_path)]
+                    + tiers) == 0
+        capsys.readouterr()
+        assert main(["report"] + tiers) == 0
+        out = capsys.readouterr().out
+        assert "2 completed point(s)" in out
+        assert "2 in current cache generation" in out
 
 
 class TestMaxBytesPrune:
@@ -331,20 +372,8 @@ class TestEnvCommand:
         assert not os.path.exists(os.path.join(cache_dir, "runs.jsonl"))
 
     def test_env_run_executes_spec(self, capsys, tmp_path):
-        import json
-        spec_path = tmp_path / "mini.json"
-        spec_path.write_text(json.dumps({
-            "spec": {"name": "mini"},
-            "matrix": {"name": "grid",
-                       "workloads": [{"workload": "kangaroo"}],
-                       "techniques": ["ooo", "dvr"],
-                       "knobs": {"max_instructions": [800]}},
-            "analysis": {"table": {
-                "fn": "speedup_table", "needs": ["grid"],
-                "args": {"columns": ["dvr"], "title": "mini table"}}},
-        }))
         out_path = tmp_path / "out.jsonl"
-        assert main(["env", "run", "--spec", str(spec_path),
+        assert main(["env", "run", "--spec", _mini_spec(tmp_path),
                      "--out", str(out_path)]) == 0
         assert "mini table" in capsys.readouterr().out
         payload = json.loads(out_path.read_text().strip())

@@ -21,6 +21,7 @@ from repro.harness.runner import run_spec
 from repro.jobs import (ExecutionContext, Executor, JobError, JobSpec,
                         NullCache, ResultCache, RunLedger, code_salt,
                         run_specs)
+from repro.specs import ArtifactStore
 
 
 def _spec(workload="nas-is", technique=TECH_OOO, seed=12345,
@@ -140,35 +141,54 @@ class TestResultCache:
         cached = json.dumps(cache.get(spec).to_dict(), sort_keys=True)
         assert cached == original
 
-    def _entry_path(self, cache, spec):
-        return os.path.join(cache.results_dir, f"{spec.key}.json")
+    @pytest.fixture(params=[ResultCache, ArtifactStore],
+                    ids=lambda kind: kind.__name__)
+    def stored(self, request, tmp_path):
+        """One entry in either kind of store: (store, item, path, tamper).
 
-    def test_garbage_bytes_degrade_to_miss(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        spec = _spec()
-        cache.put(spec, run_spec(spec))
-        with open(self._entry_path(cache, spec), "wb") as handle:
+        ``tamper`` edits the checksummed payload in place, keeping it
+        valid JSON of the right shape but the wrong value.
+        """
+        if request.param is ResultCache:
+            store = ResultCache(str(tmp_path))
+            item = _spec()
+            store.put(item, run_spec(item))
+            path = store._path(item.key)
+
+            def tamper(metrics):
+                metrics["cycles"] += 1          # silently-wrong-data bait
+        else:
+            store = ArtifactStore(str(tmp_path))
+            item = "a1" * 12                    # a node hash
+            store.put(item, {"title": "t", "headers": ["benchmark", "dvr"],
+                             "rows": [["bfs_KR", 2.5]], "notes": ""})
+            path = store._path(item)
+
+            def tamper(artifact):
+                artifact["rows"][0][1] += 1     # a speedup nobody measured
+        return store, item, path, tamper
+
+    def test_garbage_bytes_degrade_to_miss(self, stored):
+        store, item, path, _tamper = stored
+        with open(path, "wb") as handle:
             handle.write(b"\xff\x00 not json")
         with pytest.warns(RuntimeWarning, match="undecodable JSON"):
-            assert cache.get(spec) is None
-        assert cache.corrupt == 1
+            assert store.get(item) is None
+        assert store.corrupt == 1
         # The damaged file is discarded so the next put replaces it.
-        assert not os.path.exists(self._entry_path(cache, spec))
+        assert not os.path.exists(path)
 
-    def test_checksum_mismatch_degrades_to_miss(self, tmp_path):
-        """Edited metrics under valid JSON must never be served."""
-        cache = ResultCache(str(tmp_path))
-        spec = _spec()
-        cache.put(spec, run_spec(spec))
-        path = self._entry_path(cache, spec)
+    def test_checksum_mismatch_degrades_to_miss(self, stored):
+        """Edited payloads under valid JSON must never be served."""
+        store, item, path, tamper = stored
         with open(path) as handle:
             payload = json.load(handle)
-        payload["metrics"]["cycles"] += 1       # silently-wrong-data bait
+        tamper(payload[store.field])
         with open(path, "w") as handle:
             json.dump(payload, handle)
         with pytest.warns(RuntimeWarning, match="checksum mismatch"):
-            assert cache.get(spec) is None
-        assert cache.corrupt == 1
+            assert store.get(item) is None
+        assert store.corrupt == 1
 
     def test_unrebuildable_metrics_degrade_to_miss(self, tmp_path):
         """A correct checksum over a bogus schema still ends in a miss."""
@@ -177,7 +197,7 @@ class TestResultCache:
         spec = _spec()
         cache.put(spec, run_spec(spec))
         bogus = {"nope": True}
-        with open(self._entry_path(cache, spec), "w") as handle:
+        with open(cache._path(spec.key), "w") as handle:
             json.dump({"spec": spec.to_dict(), "metrics": bogus,
                        "sha256": metrics_checksum(bogus)}, handle)
         with pytest.warns(RuntimeWarning, match="schema mismatch"):
@@ -229,17 +249,18 @@ class TestResultCache:
         for age, seed in enumerate(seeds):
             spec = _spec(seed=seed)
             cache.put(spec, run_spec(spec))
-            os.utime(os.path.join(cache.results_dir, f"{spec.key}.json"),
+            os.utime(os.path.join(cache.generation_dir, f"{spec.key}.json"),
                      (1_000 + age, 1_000 + age))
         return cache
 
     def test_prune_to_bytes_evicts_oldest_first(self, tmp_path):
         cache = self._aged_entries(tmp_path, seeds=(1, 2, 3))
-        sizes = {name: os.path.getsize(os.path.join(cache.results_dir, name))
-                 for name in os.listdir(cache.results_dir)}
+        sizes = {name: os.path.getsize(os.path.join(cache.generation_dir,
+                                                    name))
+                 for name in os.listdir(cache.generation_dir)}
         budget = sum(sizes.values()) - 1          # force exactly one eviction
         assert cache.prune_to_bytes(budget) == 1
-        survivors = os.listdir(cache.results_dir)
+        survivors = os.listdir(cache.generation_dir)
         assert len(survivors) == 2
         # The evicted entry is the oldest one (mtime 1000): seed 1.
         evicted_key = _spec(seed=1).key
@@ -249,12 +270,12 @@ class TestResultCache:
     def test_prune_to_bytes_zero_budget_clears_generation(self, tmp_path):
         cache = self._aged_entries(tmp_path, seeds=(1, 2))
         assert cache.prune_to_bytes(0) == 2
-        assert os.listdir(cache.results_dir) == []
+        assert os.listdir(cache.generation_dir) == []
 
     def test_prune_to_bytes_under_budget_is_noop(self, tmp_path):
         cache = self._aged_entries(tmp_path, seeds=(1, 2))
         assert cache.prune_to_bytes(10 * 1024 * 1024) == 0
-        assert len(os.listdir(cache.results_dir)) == 2
+        assert len(os.listdir(cache.generation_dir)) == 2
 
     def test_prune_to_bytes_ignores_stale_generations(self, tmp_path):
         spec = _spec()

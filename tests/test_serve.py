@@ -25,11 +25,10 @@ from repro.config import SimConfig, TECH_DVR, TECH_OOO
 from repro.cluster import (ProtocolError, TLSConfig, Worker,
                            certificate_fingerprint, query_status)
 from repro.harness.runner import run_spec
-from repro.jobs import (Executor, JobSpec, NullCache, ResultCache,
-                        RunLedger, generation_lock)
-from repro.serve import (CacheStack, FairShareQueue, ServeClient,
-                         ServeDaemon, ServeExecutor, ServeJob,
-                         ServeRejected, SharedStore)
+from repro.jobs import (CacheStack, Executor, JobSpec, NullCache,
+                        ResultCache, RunLedger, generation_lock)
+from repro.serve import (FairShareQueue, ServeClient, ServeDaemon,
+                         ServeExecutor, ServeJob, ServeRejected)
 
 
 def _spec(workload="nas-is", technique=TECH_OOO, seed=12345,
@@ -117,8 +116,15 @@ class TestFairShareQueue:
 # Shared store + cache stack
 # ---------------------------------------------------------------------------
 class TestSharedStore:
+    """A store dir is a ResultCache like any cache dir.
+
+    Checksums, corrupt entries and pruning are covered by
+    ``test_jobs.TestResultCache``; what is store-specific is the restart
+    and the tiering.
+    """
+
     def test_round_trip_and_restart(self, tmp_path):
-        store = SharedStore(str(tmp_path / "store"))
+        store = ResultCache(str(tmp_path / "store"))
         spec = _spec()
         assert store.get(spec) is None
         metrics = run_spec(spec)
@@ -126,49 +132,13 @@ class TestSharedStore:
         assert _canon(store.get(spec)) == _canon(metrics)
         # A fresh instance on the same root (a restarted daemon, another
         # coordinator) serves the same entry.
-        again = SharedStore(str(tmp_path / "store"))
+        again = ResultCache(str(tmp_path / "store"))
         assert _canon(again.get(spec)) == _canon(metrics)
         assert again.hits == 1
 
-    def test_corrupt_entry_degrades_to_miss(self, tmp_path):
-        store = SharedStore(str(tmp_path / "store"))
-        spec = _spec()
-        store.put(spec, run_spec(spec))
-        path = store._path(spec.key)
-        with open(path, "w") as handle:
-            handle.write("{not json")
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            assert store.get(spec) is None
-        assert store.corrupt == 1
-
-    def test_checksum_mismatch_rejected(self, tmp_path):
-        store = SharedStore(str(tmp_path / "store"))
-        spec = _spec()
-        store.put(spec, run_spec(spec))
-        path = store._path(spec.key)
-        with open(path) as handle:
-            payload = json.load(handle)
-        payload["metrics"]["cycles"] = 1          # tampered result
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
-        with pytest.warns(RuntimeWarning, match="checksum"):
-            assert store.get(spec) is None
-
-    def test_stats_and_stale_generation_prune(self, tmp_path):
-        store = SharedStore(str(tmp_path / "store"))
-        spec = _spec()
-        store.put(spec, run_spec(spec))
-        stale = SharedStore(str(tmp_path / "store"), salt="deadbeef")
-        stale.put(spec, run_spec(spec))
-        stats = store.stats()
-        assert stats["generations"][store.salt]["entries"] == 1
-        assert stats["generations"]["deadbeef"]["entries"] == 1
-        assert store.prune() == 1                 # drops only the stale salt
-        assert store.get(spec) is not None
-
     def test_cache_stack_backfills_upper_layer(self, tmp_path):
         local = ResultCache(str(tmp_path / "local"))
-        shared = SharedStore(str(tmp_path / "store"))
+        shared = ResultCache(str(tmp_path / "store"))
         stack = CacheStack(local, shared)
         spec = _spec()
         metrics = run_spec(spec)
@@ -180,7 +150,7 @@ class TestSharedStore:
 
     def test_cache_stack_put_writes_all_layers(self, tmp_path):
         local = ResultCache(str(tmp_path / "local"))
-        shared = SharedStore(str(tmp_path / "store"))
+        shared = ResultCache(str(tmp_path / "store"))
         stack = CacheStack(local, shared)
         spec = _spec()
         metrics = run_spec(spec)
@@ -272,7 +242,7 @@ class TestGenerationLock:
 def _daemon(tmp_path, *, store=True, tls=None, workers=2, worker_tls=None,
             **kwargs):
     """A started daemon plus ``workers`` in-process thread workers."""
-    shared = SharedStore(str(tmp_path / "store")) if store else None
+    shared = ResultCache(str(tmp_path / "store")) if store else None
     ledger = RunLedger(str(tmp_path / "daemon-runs.jsonl"))
     daemon = ServeDaemon(store=shared, ledger=ledger, tls=tls,
                          retry_base=0.05, retry_cap=0.2, job_timeout=120,

@@ -14,7 +14,7 @@ import repro.jobs as jobs
 from repro.harness.experiments import (ExperimentScale, fig2_rob_sweep,
                                        fig7_performance, fig12_dvr_rob)
 from repro.jobs.ledger import RunLedger
-from repro.specs import DagRunner, concretize, run_spec_file
+from repro.specs import ArtifactStore, DagRunner, concretize, run_spec_file
 
 SPECS_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
 
@@ -149,6 +149,39 @@ class TestArtifactCache:
         warmed = DagRunner(dag, context=fresh_context).dry_run()
         assert warmed["sim_cached"] == 12
         assert warmed["artifact_cached"] == 1
+
+
+class TestSharedStore:
+    @pytest.fixture
+    def store_dir(self, tiny_scale, tmp_path):
+        """A shared store that one machine's fig7 run has filled."""
+        store_dir = str(tmp_path / "store")
+        filler = jobs.ExecutionContext(cache_dir=str(tmp_path / "first"),
+                                       store=store_dir)
+        DagRunner(concretize(fig7_doc(), scale=tiny_scale),
+                  context=filler).run()
+        return store_dir
+
+    def test_store_hit_backfills_the_local_artifact(self, tiny_scale,
+                                                    tmp_path, store_dir):
+        dag = concretize(fig7_doc(), scale=tiny_scale)
+        cache_dir = str(tmp_path / "second")
+        second = jobs.ExecutionContext(cache_dir=cache_dir, store=store_dir)
+        assert DagRunner(dag, context=second).run().stats[
+            "artifact_hits"] == 1
+        assert ArtifactStore(cache_dir).contains(dag.analyses[0].hash)
+
+    def test_dry_run_against_a_store_writes_nothing(self, tiny_scale,
+                                                    tmp_path, store_dir):
+        dag = concretize(fig7_doc(), scale=tiny_scale)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        context = jobs.ExecutionContext(cache_dir=str(empty),
+                                        store=store_dir)
+        preview = DagRunner(dag, context=context).dry_run()
+        assert (preview["sim_cached"], preview["artifact_cached"]) == (12, 1)
+        assert DagRunner(dag, context=context).dry_run() == preview
+        assert list(empty.iterdir()) == []
 
 
 class TestProvenance:
