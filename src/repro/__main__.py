@@ -11,8 +11,6 @@ Usage::
     python -m repro run bfs --graph KR --sanitize   # invariant assertions
     python -m repro lint                   # determinism/correctness linter
     python -m repro lint --json lint.json --fix
-    python -m repro bench --scale smoke --label pr2
-    python -m repro bench --baseline benchmarks/BENCH_pr2.json --threshold 25
     python -m repro cache stats
     python -m repro cache clear
     python -m repro cache prune --keep-current
@@ -167,28 +165,6 @@ def cmd_cache(args):
     print(f"unknown cache action {action!r} (expected: stats, clear, prune)",
           file=sys.stderr)
     return 2
-
-
-def cmd_bench(args):
-    from .bench import compare_reports, load_report, render_report, \
-        run_bench, write_report
-    scale = args.scale if args.scale in ("smoke", "small", "full") else "smoke"
-    report = run_bench(scale=scale,
-                       repeats=args.repeats,
-                       fast_forward=not args.no_fast_forward,
-                       profile=args.profile,
-                       progress=lambda line: print(line, file=sys.stderr))
-    print(render_report(report))
-    path = write_report(report, args.label, bench_dir=args.bench_dir)
-    print(f"[saved -> {path}]")
-    if args.baseline:
-        baseline = load_report(args.baseline)
-        ok, lines = compare_reports(report, baseline,
-                                    threshold_pct=args.threshold)
-        print("\n".join(lines))
-        if not ok:
-            return 1
-    return 0
 
 
 def cmd_lint(args):
@@ -543,13 +519,13 @@ def main(argv=None):
         prog="python -m repro",
         description="Decoupled Vector Runahead reproduction harness")
     parser.add_argument("command",
-                        choices=sorted(ALL_EXPERIMENTS) + ["all", "bench",
-                                                           "cache", "chaos",
-                                                           "cluster", "env",
-                                                           "jobs", "lint",
-                                                           "list", "report",
-                                                           "run", "serve",
-                                                           "submit", "sweep"])
+                        choices=sorted(ALL_EXPERIMENTS) + ["all", "cache",
+                                                           "chaos", "cluster",
+                                                           "env", "jobs",
+                                                           "lint", "list",
+                                                           "report", "run",
+                                                           "serve", "submit",
+                                                           "sweep"])
     parser.add_argument("workload", nargs="?",
                         help="workload name (for `run`), cache action "
                              "(for `cache`: stats, clear, prune), cluster "
@@ -563,7 +539,7 @@ def main(argv=None):
     parser.add_argument("--graphs", nargs="*", default=None,
                         help="GAP graph inputs for experiments")
     parser.add_argument("--instructions", type=int, default=None)
-    parser.add_argument("--scale", choices=("smoke", "small", "full"),
+    parser.add_argument("--scale", choices=("small", "full"),
                         default="small")
     parser.add_argument("--no-fast-forward", action="store_true",
                         help="disable event-driven cycle skipping (slower; "
@@ -669,20 +645,6 @@ def main(argv=None):
     parser.add_argument("--from-ledger", default=None, metavar="PATH",
                         help="report: run ledger to summarize (default: "
                              "the active cache dir's runs.jsonl)")
-    parser.add_argument("--label", default="local",
-                        help="bench report label (BENCH_<label>.json)")
-    parser.add_argument("--profile", action="store_true",
-                        help="bench: embed per-case cProfile top-N in the "
-                             "report")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="bench: BENCH json to compare against")
-    parser.add_argument("--threshold", type=float, default=25.0,
-                        metavar="PCT", help="bench: max tolerated cycles/sec "
-                                            "regression vs baseline")
-    parser.add_argument("--bench-dir", default="benchmarks",
-                        help="bench: directory for BENCH reports")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="bench: timing repetitions (best-of-N)")
     args = parser.parse_args(argv)
 
     if args.sanitize_threads:
@@ -723,8 +685,6 @@ def main(argv=None):
             return cmd_list(args)
         if args.command == "all":
             return cmd_all(args)
-        if args.command == "bench":
-            return cmd_bench(args)
         if args.command == "cache":
             return cmd_cache(args)
         if args.command == "chaos":

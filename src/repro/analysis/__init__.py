@@ -29,7 +29,7 @@ The same split covers the *concurrent* infrastructure (cluster, serve):
   and enforce :func:`guarded_by` declarations.
 
 Surface: ``python -m repro lint [--fix] [--json PATH]``, the
-``--sanitize`` flag on ``run`` / experiment / ``bench`` commands, and
+``--sanitize`` flag on ``run`` and the experiment commands, and
 ``--sanitize-threads`` on the cluster/serve commands.
 
 ``ANALYSIS_VERSION`` names the rule catalogue; the ``repro.jobs`` ledger

@@ -17,9 +17,9 @@ Rule catalogue
                        ``random.Random()`` / ``np.random.default_rng()``.
 ``nondet-time``        wall-clock reads (``time.time`` & friends) inside
                        simulation modules, where they could leak into cycle
-                       arithmetic.  Infrastructure packages (jobs, bench,
-                       analysis, cluster, the CLI) legitimately measure wall
-                       time and are exempt.
+                       arithmetic.  Infrastructure packages (jobs,
+                       analysis, cluster, serve, faults, the CLI)
+                       legitimately measure wall time and are exempt.
 ``nondet-set-iter``    ``for``-loop / comprehension iteration over a ``set``
                        expression or a local bound to one, and ``.pop()`` on
                        such a set: element order is hash-order.  Membership
@@ -77,9 +77,8 @@ _GLOBAL_NP_RANDOM_FUNCS = frozenset({
 #: Path prefixes (relative to the package root, "/"-separated) where
 #: wall-clock reads are legitimate: infrastructure that measures host
 #: time, never simulated time.
-TIME_EXEMPT_PREFIXES = ("jobs/", "bench/", "analysis/", "cluster/",
-                        "faults/", "serve/", "tests/", "benchmarks/",
-                        "__main__")
+TIME_EXEMPT_PREFIXES = ("jobs/", "analysis/", "cluster/", "faults/",
+                        "serve/", "tests/", "benchmarks/", "__main__")
 
 #: Base classes that mark a class as a runahead engine for the
 #: quiescence-contract rule, plus a naming convention fallback.

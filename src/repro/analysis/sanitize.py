@@ -9,9 +9,10 @@ state at that point *is* the bug report.
 
 The sanitizer is observation-only: it never mutates simulator state, so
 a sanitized run produces **bit-identical metrics** to an unsanitized one
-(asserted by ``tests/test_analysis_sanitize.py`` and cross-checked by
-``repro bench``).  Its own accounting (``checks``) lives on the
-sanitizer object and is never folded into :class:`Metrics`.
+(asserted by ``tests/test_analysis_sanitize.py`` and, on the four
+fast-forward pin cases, by ``tests/test_fast_forward.py``).  Its own
+accounting (``checks``) lives on the sanitizer object and is never
+folded into :class:`Metrics`.
 
 The invariant catalogue -- what each assertion protects and the paper
 mechanism it maps to -- is documented in DESIGN.md.

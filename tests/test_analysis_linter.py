@@ -68,7 +68,7 @@ class TestNondetRules:
         assert rules_of(findings) == ["nondet-time"]
 
     def test_wall_clock_exempt_in_infrastructure(self):
-        for relpath in ("jobs/ledger.py", "bench/harness.py",
+        for relpath in ("jobs/ledger.py", "serve/daemon.py",
                         "analysis/linter.py", "__main__.py"):
             findings = lint_source("""
                 import time

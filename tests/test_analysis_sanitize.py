@@ -176,24 +176,6 @@ class TestSanitizeCli:
                      "--sanitize"]) == 0
         assert "IPC" in capsys.readouterr().out
 
-    def test_bench_records_sanitize_overhead(self, tmp_path, monkeypatch,
-                                             capsys):
-        monkeypatch.setattr("repro.bench.harness.SCALE_INSTRUCTIONS",
-                            {"smoke": 500, "small": 500, "full": 500})
-        monkeypatch.setattr("repro.bench.harness.SMOKE_MATRIX",
-                            (("nas-is", "ooo"),))
-        bench_dir = str(tmp_path / "benchmarks")
-        assert main(["bench", "--scale", "smoke", "--repeats", "1",
-                     "--label", "san", "--bench-dir", bench_dir]) == 0
-        with open(f"{bench_dir}/BENCH_san.json") as handle:
-            report = json.load(handle)
-        assert report["schema"] == 3
-        case = report["cases"][0]
-        assert case["wall_s_sanitize"] > 0
-        assert case["sanitize_overhead"] > 0
-        assert report["totals"]["wall_s_sanitize"] > 0
-        assert report["totals"]["sanitize_overhead"] > 0
-
 
 class TestLedgerRecordsAnalysisFields:
     def test_ledger_entry_carries_sanitize_and_rules_version(self, tmp_path):

@@ -50,9 +50,16 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run"])
 
-    def test_unknown_command_rejected(self):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["fig99"], id="fig99"),
+        # The removed perf harness: its command, flags and scale.
+        pytest.param(["bench"], id="bench"),
+        pytest.param(["fig7", "--scale", "smoke"], id="scale-smoke"),
+        pytest.param(["table1", "--threshold", "3"], id="threshold"),
+    ])
+    def test_unknown_command_rejected(self, argv):
         with pytest.raises(SystemExit):
-            main(["fig99"])
+            main(argv)
 
     def test_fig9_with_tiny_scale(self, capsys, tiny_graph):
         assert main(["fig9", "--graphs", tiny_graph,
@@ -252,84 +259,6 @@ class TestMaxBytesPrune:
         assert main(["cache", "prune", "--max-bytes", str(10 ** 9),
                      "--cache-dir", cache_dir]) == 0
         assert "evicted 0" in capsys.readouterr().out
-
-
-class TestBenchCommand:
-    def test_bench_smoke_writes_report(self, capsys, tmp_path, monkeypatch):
-        import json
-        import os
-
-        from repro.bench import harness
-        # One cheap case, one repeat: exercises the full path end to end.
-        monkeypatch.setattr("repro.bench.harness.SCALE_INSTRUCTIONS",
-                            {"smoke": 500, "small": 500, "full": 500})
-        monkeypatch.setattr("repro.bench.harness.SMOKE_MATRIX",
-                            (("nas-is", "ooo"),))
-        # Every run reads the same wall time, so the two reports differ
-        # only if the simulation does -- host noise on a 500-instruction
-        # run can exceed the regression threshold on its own.
-        time_once = harness._time_once
-
-        def fixed_wall(workload, config, repeats):
-            _, stats = time_once(workload, config)
-            return 0.01, stats
-
-        monkeypatch.setattr("repro.bench.harness._time_best", fixed_wall)
-        bench_dir = str(tmp_path / "benchmarks")
-        assert main(["bench", "--scale", "smoke", "--repeats", "1",
-                     "--label", "t", "--bench-dir", bench_dir]) == 0
-        out = capsys.readouterr().out
-        assert "TOTAL" in out
-        path = os.path.join(bench_dir, "BENCH_t.json")
-        with open(path) as handle:
-            report = json.load(handle)
-        assert report["totals"]["cycles_per_sec"] > 0
-        assert report["cases"][0]["workload"] == "nas-is"
-        # Comparing a report against itself never regresses.
-        assert main(["bench", "--scale", "smoke", "--repeats", "1",
-                     "--label", "t2", "--bench-dir", bench_dir,
-                     "--baseline", path]) == 0
-
-    def test_bench_regression_fails(self, capsys, tmp_path, monkeypatch):
-        import json
-        import os
-        monkeypatch.setattr("repro.bench.harness.SCALE_INSTRUCTIONS",
-                            {"smoke": 500, "small": 500, "full": 500})
-        monkeypatch.setattr("repro.bench.harness.SMOKE_MATRIX",
-                            (("nas-is", "ooo"),))
-        bench_dir = str(tmp_path / "benchmarks")
-        assert main(["bench", "--scale", "smoke", "--repeats", "1",
-                     "--label", "base", "--bench-dir", bench_dir]) == 0
-        capsys.readouterr()
-        path = os.path.join(bench_dir, "BENCH_base.json")
-        with open(path) as handle:
-            report = json.load(handle)
-        # Pretend the baseline machine was 100x faster.
-        report["totals"]["cycles_per_sec"] *= 100
-        with open(path, "w") as handle:
-            json.dump(report, handle)
-        assert main(["bench", "--scale", "smoke", "--repeats", "1",
-                     "--label", "new", "--bench-dir", bench_dir,
-                     "--baseline", path, "--threshold", "25"]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_bench_profile_embeds_rows(self, tmp_path, monkeypatch, capsys):
-        import json
-        import os
-        monkeypatch.setattr("repro.bench.harness.SCALE_INSTRUCTIONS",
-                            {"smoke": 500, "small": 500, "full": 500})
-        monkeypatch.setattr("repro.bench.harness.SMOKE_MATRIX",
-                            (("nas-is", "ooo"),))
-        bench_dir = str(tmp_path / "benchmarks")
-        assert main(["bench", "--scale", "smoke", "--repeats", "1",
-                     "--label", "p", "--bench-dir", bench_dir,
-                     "--profile"]) == 0
-        capsys.readouterr()
-        with open(os.path.join(bench_dir, "BENCH_p.json")) as handle:
-            report = json.load(handle)
-        rows = report["profiles"]["nas-is/ooo"]
-        assert rows and {"function", "ncalls", "tottime_s",
-                         "cumtime_s"} <= set(rows[0])
 
 
 class TestJsonExport:

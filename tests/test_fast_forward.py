@@ -6,7 +6,9 @@ optimization: every statistic -- cycles, CPI stack, ROB-stall counters,
 MSHR occupancy integral, engine stats -- is bit-identical with it on or
 off, for every engine.  These tests pin that equivalence across the
 engine matrix, check the config digest tracks the toggle, and prove the
-skipper actually engages on a latency-bound workload.
+skipper actually engages on a latency-bound workload: the memory-bound
+smoke matrix's cycle and fast-forward counts are pinned exactly, so a
+change that skips fewer cycles fails here on any host.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench import build_chase
 from repro.config import SimConfig, config_digest
-from repro.harness.runner import run_built, run_workload
+from repro.harness.runner import (build_sim, collect_metrics, run_built,
+                                  run_workload)
 from repro.workloads import make_workload
+from repro.workloads.chase import build_chase
 
 ENGINE_MATRIX = [
     # (technique, stride prefetcher enabled): "none" is the bare OoO
@@ -121,6 +124,59 @@ class TestEngagement:
         stats = core.run()
         assert stats.fast_forward_spans == 0
         assert stats.fast_forward_cycles == 0
+
+
+def _memory_bound_config(technique):
+    """10k instructions with L2/L3 shrunk below the working sets and the
+    stride prefetcher off, so loads reach DRAM and the core spends most
+    cycles in full-ROB stalls, the regime fast-forward skips."""
+    config = SimConfig(max_instructions=10_000).with_technique(technique)
+    memsys = replace(config.memsys,
+                     l2=replace(config.memsys.l2, size_bytes=32 * 1024),
+                     l3=replace(config.memsys.l3, size_bytes=64 * 1024))
+    return replace(config, memsys=memsys,
+                   stride_pf=replace(config.stride_pf, enabled=False))
+
+
+def _simulate(workload, config):
+    """(cycles, committed, fast-forward cycles and spans), Metrics."""
+    if workload == "chase":
+        built = build_chase()
+    else:
+        built = make_workload(workload).build(
+            memory_bytes=config.memsys.guest_memory_bytes, seed=12345)
+    core = build_sim(built, config)
+    stats = core.run()
+    counts = (stats.cycles, stats.committed, stats.fast_forward_cycles,
+              stats.fast_forward_spans)
+    return counts, collect_metrics(built, config, core)
+
+
+class TestPinnedSmokeMatrix:
+    # fast_forward is left at SimConfig's default, so turning the default
+    # off fails these pins too.
+    @pytest.mark.parametrize("workload, technique, pinned", [
+        pytest.param("chase", "ooo", (558551, 10000, 548462, 2385),
+                     id="chase-ooo"),
+        pytest.param("chase", "dvr", (558551, 10000, 548462, 2385),
+                     id="chase-dvr"),
+        pytest.param("camel", "ooo", (21270, 10000, 14647, 460),
+                     id="camel-ooo"),
+        pytest.param("graph500", "ooo", (114373, 10004, 107627, 1778),
+                     id="graph500-ooo"),
+    ])
+    def test_counts_pinned_and_sanitized_run_identical(
+            self, workload, technique, pinned):
+        config = _memory_bound_config(technique)
+        counts, plain = _simulate(workload, config)
+        assert counts == pinned
+        sanitized_counts, sanitized = _simulate(
+            workload, replace(config, sanitize=True))
+        assert sanitized_counts == pinned
+        plain, sanitized = plain.to_dict(), sanitized.to_dict()
+        plain.pop("config")
+        sanitized.pop("config")
+        assert sanitized == plain
 
 
 class TestConfigDigest:
