@@ -333,17 +333,8 @@ def cmd_cluster(args):
         info = _query_endpoint(args)
         if info is None:
             return 1
-        jobs_info = info.get("jobs", {})
         print(f"coordinator  {info.get('address', args.connect)}")
-        daemon = info.get("daemon")
-        if daemon is not None:       # a `repro serve` endpoint
-            _print_daemon_status(daemon)
-        else:
-            print(f"jobs         {jobs_info.get('done', 0)}/"
-                  f"{jobs_info.get('total', 0)} done, "
-                  f"{jobs_info.get('running', 0)} running, "
-                  f"{jobs_info.get('queued', 0)} queued, "
-                  f"{jobs_info.get('failed', 0)} failed")
+        _print_daemon_status(info.get("daemon", {}))
         workers = info.get("workers", [])
         print(f"workers      {len(workers)}")
         for worker in workers:
@@ -372,13 +363,14 @@ def cmd_serve(args):
     daemon = ServeDaemon(host=host, port=port, store=store,
                          ledger=context.ledger, tls=tls,
                          job_timeout=args.job_timeout, **kwargs)
-    daemon.start(workers=args.workers)
-    print(f"[serve] daemon on {daemon.address} "
-          f"(tls={'on' if tls else 'off'}, "
-          f"store={store_dir or 'disabled'}, "
-          f"workers={args.workers}); clients: `repro submit <experiment> "
-          f"--connect {daemon.address}`", file=sys.stderr, flush=True)
     try:
+        daemon.start(workers=args.workers)
+        print(f"[serve] daemon on {daemon.address} "
+              f"(tls={'on' if tls else 'off'}, "
+              f"store={store_dir or 'disabled'}, "
+              f"workers={args.workers}); clients: `repro submit "
+              f"<experiment> --connect {daemon.address}`",
+              file=sys.stderr, flush=True)
         daemon.serve_forever()
     except KeyboardInterrupt:
         print("[serve] interrupted; shutting down", file=sys.stderr)
@@ -405,13 +397,8 @@ def cmd_jobs(args):
     info = _query_endpoint(args, label="daemon", command="jobs")
     if info is None:
         return 1
-    daemon = info.get("daemon")
-    if daemon is None:
-        print(f"{args.connect} is a per-sweep coordinator, not a `repro "
-              f"serve` daemon; use `repro cluster status`", file=sys.stderr)
-        return 1
     print(f"daemon       {info.get('address', args.connect)}")
-    _print_daemon_status(daemon)
+    _print_daemon_status(info.get("daemon", {}))
     return 0
 
 
@@ -652,7 +639,7 @@ def main(argv=None):
         from .analysis import threadsan
         threadsan.enable()
 
-    from .cluster import TLSConfig, TLSConfigError
+    from .cluster import ClusterError, TLSConfig, TLSConfigError
 
     env = jobs.ExecutionContext.from_env()
     backend = "serve" if args.command == "submit" else args.backend
@@ -661,13 +648,15 @@ def main(argv=None):
     if args.secret:
         cluster_options["secret"] = args.secret
         serve_options["secret"] = args.secret
-    if backend == "serve":
-        try:
-            tls = TLSConfig.from_args(args, server_side=False)
-        except TLSConfigError as error:
-            parser.error(str(error))
-        if tls is not None:
-            serve_options["tls"] = tls
+    try:
+        if backend == "serve":
+            serve_options["tls"] = TLSConfig.from_args(args,
+                                                       server_side=False)
+        elif backend == "cluster":
+            cluster_options["tls"] = TLSConfig.from_args(args,
+                                                         server_side=True)
+    except TLSConfigError as error:
+        parser.error(str(error))
     jobs.configure(
         jobs=args.jobs if args.jobs is not None else env.jobs,
         cache_dir=args.cache_dir or env.cache_dir,
@@ -714,8 +703,12 @@ def main(argv=None):
                 parser.error("`run` needs a workload name")
             return cmd_run(args)
         return cmd_experiment(args)
+    except ClusterError as error:
+        # A bind or worker start-up failure is one line, not a traceback.
+        print(f"{args.command}: {error}", file=sys.stderr)
+        return 1
     finally:
-        # Drain cluster workers / stop the coordinator, if one was started.
+        # Drain cluster workers / stop the daemon, if one was started.
         jobs.close_context()
 
 

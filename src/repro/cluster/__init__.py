@@ -1,21 +1,22 @@
 """Distributed sweep execution over a TCP worker protocol.
 
 ``repro.cluster`` scales the ``repro.jobs`` execution engine past one
-machine: a :class:`Coordinator` leases content-addressed ``JobSpec``s to
-workers over a length-prefixed JSON-over-TCP protocol
-(:mod:`.protocol`), with heartbeat liveness, per-job lease timeouts,
-bounded exponential-backoff reassignment, and code-salt verification at
-handshake.  Workers are plain ``repro cluster worker --connect
+machine: a :class:`Coordinator` accepts workers over a length-prefixed
+JSON-over-TCP protocol (:mod:`.protocol`, optionally under TLS,
+:mod:`.tls`), verifies their code salt at handshake, and leases them
+content-addressed ``JobSpec``s with heartbeat liveness and per-job lease
+timeouts.  Workers are plain ``repro cluster worker --connect
 HOST:PORT`` processes -- loopback subprocesses for tests and CI, remote
-hosts for full-scale sweeps.  :class:`ClusterExecutor` plugs the whole
-thing in behind the same ``Executor.run(specs)`` contract the local
-process pool implements, and the ledger-learned :class:`CostModel`
-orders dispatch longest-expected-first for both backends.
+hosts for full-scale sweeps.  The scheduling loop over those leases
+(backoff, reassignment, giving up) is :class:`repro.serve.ServeDaemon`'s:
+``--backend cluster`` runs one inside the sweep process and submits
+through :class:`repro.serve.ServeExecutor`, the same ``Executor.run``
+contract the local process pool implements.  The ledger-learned
+:class:`CostModel` orders dispatch longest-expected-first everywhere.
 """
 
 from .coordinator import ClusterError, Coordinator, WorkerHandle
 from .costmodel import CostModel
-from .executor import ClusterExecutor
 from .protocol import (AuthenticationError, Connection, MAX_MESSAGE_BYTES,
                        PROTOCOL_VERSION, ProtocolError, authenticate_client,
                        compute_mac, default_secret, dial, parse_address,
@@ -28,7 +29,6 @@ from .worker import Worker, WorkerRejected
 __all__ = [
     "AuthenticationError",
     "ClusterError",
-    "ClusterExecutor",
     "Connection",
     "Coordinator",
     "CostModel",

@@ -1,4 +1,4 @@
-"""Cluster coordinator: worker registry, job leases, fault tolerance.
+"""Cluster coordinator: listening socket, worker registry, job leases.
 
 The coordinator owns the TCP listening socket.  Workers dial in (local
 subprocesses spawned by :meth:`Coordinator.spawn_local_workers`, or
@@ -7,6 +7,10 @@ their code salt -- a worker built from a different source tree is
 rejected, so it can never serve results the cache would mis-attribute --
 and then hold at most one *lease* at a time.
 
+The coordinator provides the lease steps and turns what happens on its
+sockets (joins, results, deaths) into events on one queue;
+:class:`repro.serve.ServeDaemon`'s scheduler is the one loop that
+consumes them, for ``repro serve`` and ``--backend cluster`` alike.
 Fault model (see DESIGN.md for the full matrix):
 
 * worker crash / SIGKILL mid-job: the reader thread sees EOF, the lease
@@ -21,10 +25,8 @@ Fault model (see DESIGN.md for the full matrix):
   registry the remaining jobs are reported as failures so the executor
   can fall back to running them in the parent process.
 
-A job that fails ``max_attempts`` times is handed back as failed rather
-than retried forever.  Results are streamed to the caller via a callback
-on the *coordinator's* thread, so the run ledger and result cache stay
-single-writer.
+The scheduler hands a job that fails ``max_attempts`` times back as
+failed rather than retrying it forever.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .protocol import (AUTH, CHALLENGE, Connection, DRAIN, GOODBYE,
                        HEARTBEAT, HELLO, JOB, PROTOCOL_VERSION,
                        ProtocolError, REJECT, RESULT, SESSION, STATUS,
                        STATUS_REPLY, WELCOME, default_secret, verify_mac)
+from .tls import TLS_ENVIRONMENT
 
 
 class ClusterError(RuntimeError):
@@ -75,32 +78,14 @@ class WorkerHandle:
         return self.name or self.connection.peer
 
 
-class _Job:
-    """Scheduling record for one spec inside ``execute``."""
-
-    __slots__ = ("spec", "attempts", "not_before", "last_error")
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.attempts = 0            # completed lease attempts that failed
-        self.not_before = 0.0        # backoff gate (monotonic seconds)
-        self.last_error = None
-
-    @property
-    def key(self):
-        return self.spec.key
-
-
 class Coordinator:
-    """Accepts workers, leases jobs, reassigns on failure."""
+    """Accepts workers, leases them jobs, expires their leases."""
 
     #: Sentinel: "no secret passed, fall back to $REPRO_CLUSTER_SECRET".
     _SECRET_FROM_ENV = object()
 
     def __init__(self, host="127.0.0.1", port=0, *, job_timeout=None,
-                 heartbeat_timeout=15.0, retry_base=0.25, retry_cap=5.0,
-                 max_attempts=3, worker_grace=60.0, poll_interval=0.05,
-                 secret=_SECRET_FROM_ENV, tls=None):
+                 heartbeat_timeout=15.0, secret=_SECRET_FROM_ENV, tls=None):
         self.host = host
         self.port = port
         self.job_timeout = job_timeout
@@ -116,28 +101,20 @@ class Coordinator:
         self.tls = tls
         #: Serve-daemon hook: a callable ``(connection, session_frame)``
         #: that takes ownership of a client connection whose first frame
-        #: is SESSION; None (per-sweep coordinators) closes such dialers.
+        #: is SESSION; None closes such dialers.
         self.client_handler = None
         #: Serve-daemon hook: extra fields merged into :meth:`status`
         #: replies (uptime, sessions, fleet) for `repro cluster status`.
         self.status_extra = None
         self.heartbeat_timeout = heartbeat_timeout
-        self.retry_base = retry_base
-        self.retry_cap = retry_cap
-        self.max_attempts = max(1, int(max_attempts))
-        self.worker_grace = worker_grace
-        self.poll_interval = poll_interval
         self._events = queue.Queue()
-        # Guards _workers (accept/reader/serve threads) and _progress
-        # (updated by execute(), read by status() on connection threads).
+        # Guards _workers (accept/reader/serve threads).
         self._lock = make_lock("Coordinator._lock")
         self._workers = []
         self._spawned = []
         self._server = None
         self._accept_thread = None
         self._closing = False
-        self._progress = {"total": 0, "done": 0, "failed": 0, "running": 0,
-                          "queued": 0}
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -171,9 +148,13 @@ class Coordinator:
         self.drain()
         if self._server is not None:
             try:
-                self._server.close()
+                # Wakes the accept thread: with close() alone, its
+                # blocked accept() keeps the port listening.
+                self._server.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self._server.close()
+            self._accept_thread.join(timeout=5)
         for process in self._spawned:
             try:
                 process.wait(timeout=5)
@@ -219,6 +200,11 @@ class Coordinator:
             # Children pin our certificate fingerprint -- trust without
             # distributing any file.
             env.update(self.tls.child_environment())
+        else:
+            # Inherited TLS trust would make a child dial TLS into our
+            # plaintext socket and never join.
+            for name in TLS_ENVIRONMENT:
+                env.pop(name, None)
         command = [sys.executable, "-m", "repro", "cluster", "worker",
                    "--connect", f"{self.host}:{self.port}"]
         processes = [subprocess.Popen(command, env=env)
@@ -404,96 +390,7 @@ class Coordinator:
                     pass             # death surfaces via recv shortly
             # Unknown types only refresh last_seen (forward compat).
 
-    # -- scheduling ----------------------------------------------------
-    def execute(self, specs, on_result):
-        """Run ``specs`` (already deduplicated, in dispatch-priority order).
-
-        ``on_result(spec, metrics, worker=..., retries=..., wall_s=...)``
-        is invoked on this thread as each job completes.  Returns a dict
-        ``key -> (spec, error, attempts)`` for jobs that exhausted their
-        retry budget or ran out of workers.
-        """
-        from ..harness.metrics import Metrics
-        jobs = [_Job(spec) for spec in specs]
-        by_key = {job.key: job for job in jobs}
-        ready = list(jobs)
-        completed = set()
-        failed = {}
-        with self._lock:
-            self._progress.update(total=len(jobs), done=0, failed=0)
-        last_live = time.monotonic()
-
-        def settle(job, error, now):
-            """A lease attempt failed: back off + requeue, or give up."""
-            job.attempts += 1
-            job.last_error = error
-            if job.attempts >= self.max_attempts:
-                failed[job.key] = (job.spec, error, job.attempts)
-            else:
-                backoff = min(self.retry_cap,
-                              self.retry_base * (2 ** (job.attempts - 1)))
-                job.not_before = now + backoff
-                ready.append(job)
-
-        while len(completed) + len(failed) < len(jobs):
-            now = time.monotonic()
-            for worker, reason in self._expired_workers(now):
-                worker.killing = True
-                worker.connection.close()   # reader thread emits "dead"
-                print(f"[cluster] disconnecting worker {worker.label}: "
-                      f"{reason}", file=sys.stderr)
-            self._dispatch(ready, now)
-            with self._lock:
-                self._progress.update(
-                    done=len(completed), failed=len(failed),
-                    running=sum(1 for j in jobs
-                                if j.key not in completed
-                                and j.key not in failed) - len(ready),
-                    queued=len(ready))
-            if self.live_workers():
-                last_live = now
-            elif ready and now - last_live > self.worker_grace:
-                for job in ready:
-                    failed[job.key] = (
-                        job.spec,
-                        f"no live workers for {self.worker_grace:.0f}s",
-                        job.attempts)
-                ready.clear()
-                continue
-            try:
-                kind, worker, payload = self._events.get(
-                    timeout=self.poll_interval)
-            except queue.Empty:
-                continue
-            if kind == "join":
-                continue
-            if kind == "result":
-                key = payload.get("job_id")
-                job = self.release(worker, key)
-                if job is None or key in completed \
-                        or key in failed or key not in by_key:
-                    continue               # stale result from a prior run
-                if payload.get("ok"):
-                    completed.add(key)
-                    on_result(job.spec,
-                              Metrics.from_dict(payload["metrics"]),
-                              worker=worker.label, retries=job.attempts,
-                              wall_s=payload.get("wall_s", 0.0))
-                else:
-                    settle(job, payload.get("error", "worker error"),
-                           time.monotonic())
-            elif kind in ("dead", "left"):
-                for job in self.drop_worker(worker):
-                    if job.key not in completed and job.key not in failed \
-                            and job.key in by_key:
-                        settle(job,
-                               f"worker {worker.label} {kind}: {payload}",
-                               time.monotonic())
-        with self._lock:
-            self._progress.update(done=len(completed), failed=len(failed),
-                                  running=0, queued=0)
-        return failed
-
+    # -- leases (the serve daemon's scheduler drives these) ------------
     def _expired_workers(self, now):
         expired = []
         with self._lock:
@@ -505,17 +402,6 @@ class Coordinator:
                 expired.append((worker, "heartbeat timeout"))
         return expired
 
-    def _dispatch(self, ready, now):
-        """Lease the highest-priority eligible job to each idle worker."""
-        for worker in self.idle_workers():
-            job = next((candidate for candidate in ready
-                        if candidate.not_before <= now), None)
-            if job is None:
-                return
-            if self.lease(worker, job, now):
-                ready.remove(job)
-
-    # -- leases (shared with the serve daemon's scheduler) -------------
     def idle_workers(self):
         """Live workers that hold no lease and are not being closed."""
         with self._lock:
@@ -576,10 +462,7 @@ class Coordinator:
                 "jobs_done": worker.done,
                 "last_seen_s": round(now - worker.last_seen, 3),
             } for worker in self._workers if worker.alive]
-            progress = dict(self._progress)
-        info = {"address": self.address,
-                "workers": workers,
-                "jobs": progress}
+        info = {"address": self.address, "workers": workers}
         if self.status_extra is not None:
             info.update(self.status_extra())
         return info

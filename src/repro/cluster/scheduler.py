@@ -3,9 +3,9 @@
 Sweep tail latency is dominated by whichever long job starts last; with
 per-job costs known (even approximately), dispatching the longest
 expected jobs first is the classic LPT heuristic and keeps every backend
-busy until the end.  Both executors use this: the local process pool
-reorders its submission queue, and the cluster coordinator leases jobs
-to idle workers in this order.
+busy until the end.  The local process pool reorders its submission
+queue by it, the remote executor submits its sweep in this order, and
+the serve daemon sorts each submitted sweep with its own ledger's model.
 """
 
 from __future__ import annotations

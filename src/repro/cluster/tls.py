@@ -37,6 +37,8 @@ import ssl
 
 _ENV_CA = "REPRO_TLS_CA"
 _ENV_FINGERPRINT = "REPRO_TLS_FINGERPRINT"
+#: Every variable :meth:`TLSConfig.from_env` reads.
+TLS_ENVIRONMENT = (_ENV_CA, _ENV_FINGERPRINT)
 
 
 class TLSConfigError(ValueError):

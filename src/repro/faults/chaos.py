@@ -3,7 +3,7 @@
 ``repro chaos --seed S`` drives this module.  One run:
 
 1. executes a pinned smoke sweep serially with no faults (the baseline);
-2. re-executes it on a loopback coordinator + in-process workers with
+2. re-executes it on a loopback serve daemon + in-process workers with
    every seam wrapped by a :class:`FaultInjector` (authenticated with a
    shared secret, so the auth path is exercised too), recording the
    :class:`FaultPlan` into the run ledger before the first job;
@@ -82,8 +82,9 @@ def run_chaos(seed, cache_dir=None, *, workers=3, count=None, plan=None,
     stale workers rejected, and the resume pass healed the damaged
     persistence layer.
     """
-    from ..cluster import ClusterExecutor, Coordinator, Worker, query_status
+    from ..cluster import Worker, query_status
     from ..harness.runner import run_spec
+    from ..serve import ServeClient, ServeDaemon, ServeExecutor
 
     stream = stream if stream is not None else sys.stderr
     plan = plan if plan is not None else FaultPlan.standard(seed)
@@ -114,12 +115,12 @@ def run_chaos(seed, cache_dir=None, *, workers=3, count=None, plan=None,
         cache = injector.wrap_cache(ResultCache(cache_dir))
         ledger.record_meta("chaos-plan", seed=plan.seed, plan=plan.to_dict())
 
-        coordinator = Coordinator(job_timeout=2.5, heartbeat_timeout=2.5,
-                                  retry_base=0.05, retry_cap=0.2,
-                                  max_attempts=8, worker_grace=30.0,
-                                  secret=secret)
-        coordinator.start()
-        address = f"127.0.0.1:{coordinator.port}"
+        daemon = ServeDaemon(job_timeout=2.5, heartbeat_timeout=2.5,
+                             retry_base=0.05, retry_cap=0.2, max_attempts=8,
+                             worker_grace=30.0, secret=secret)
+        daemon.start()
+        coordinator = daemon.coordinator
+        address = daemon.address
         stop = threading.Event()
 
         def worker_kwargs(worker_id):
@@ -162,13 +163,15 @@ def run_chaos(seed, cache_dir=None, *, workers=3, count=None, plan=None,
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            executor = ClusterExecutor(coordinator, cache=cache,
-                                       ledger=ledger, on_failure="report",
-                                       progress=_SilentProgress())
+            client = ServeClient(address, secret=secret, tls=False)
+            executor = ServeExecutor(client, cache=cache, ledger=ledger,
+                                     on_failure="report",
+                                     progress=_SilentProgress())
             chaos_results = executor.run(specs)
         status = query_status(address, secret=secret)
         stop.set()
-        coordinator.close()
+        client.close()
+        daemon.close()
         for thread in threads:
             thread.join(timeout=5)
 

@@ -46,18 +46,19 @@ class ExecutionContext:
             raise ValueError(f"unknown executor backend {backend!r} "
                              f"(expected 'local', 'cluster' or 'serve')")
         self.backend = backend
-        #: Cluster options: ``bind`` ("HOST:PORT", port 0 = ephemeral),
-        #: ``workers`` (loopback subprocesses to spawn; 0 = wait for
-        #: external ``repro cluster worker --connect`` processes),
-        #: ``connect_timeout`` (seconds to wait for the first worker),
-        #: ``secret`` (shared handshake secret; default
-        #: ``$REPRO_CLUSTER_SECRET``).
+        #: Cluster options, for the serve daemon this process starts:
+        #: ``bind`` ("HOST:PORT", port 0 = ephemeral), ``workers``
+        #: (loopback subprocesses to spawn; 0 = wait for external
+        #: ``repro cluster worker --connect`` processes), ``secret``
+        #: (shared handshake secret; default ``$REPRO_CLUSTER_SECRET``),
+        #: ``tls`` (a server TLSConfig; None = plaintext).
         self.cluster_options = dict(cluster or {})
         #: Serve-backend options: ``connect`` ("HOST:PORT" of a running
         #: `repro serve` daemon), ``secret``, ``tls`` (a client
         #: TLSConfig; None = $REPRO_TLS_* environment).
         self.serve_options = dict(serve or {})
-        self._serve_client = None
+        self._daemon = None
+        self._client = None
         #: ``repro sweep --resume``: replay specs the ledger already
         #: records as completed, dispatching only the remainder.  The
         #: index is snapshotted once per context so mid-sweep appends
@@ -69,7 +70,6 @@ class ExecutionContext:
         #: returns partial results instead of raising mid-sweep.
         self.on_failure = on_failure
         self.failure_report = SweepFailureReport()
-        self._coordinator = None
 
     def resume_index(self):
         if not self.resume:
@@ -79,84 +79,80 @@ class ExecutionContext:
         return self._resume_index
 
     def executor(self):
-        if self.backend == "cluster":
-            from ..cluster import ClusterExecutor
-            return ClusterExecutor(self._ensure_coordinator(),
-                                   cache=self.cache, ledger=self.ledger,
-                                   timeout=self.timeout,
-                                   on_failure=self.on_failure,
-                                   resume_index=self.resume_index(),
-                                   failure_report=self.failure_report)
-        if self.backend == "serve":
-            from ..serve import ServeExecutor
-            return ServeExecutor(self._ensure_serve_client(),
-                                 cache=self.cache, ledger=self.ledger,
-                                 timeout=self.timeout,
-                                 on_failure=self.on_failure,
-                                 resume_index=self.resume_index(),
-                                 failure_report=self.failure_report)
-        return Executor(jobs=self.jobs, cache=self.cache, ledger=self.ledger,
-                        timeout=self.timeout, on_failure=self.on_failure,
-                        resume_index=self.resume_index(),
-                        failure_report=self.failure_report)
+        kwargs = dict(cache=self.cache, ledger=self.ledger,
+                      timeout=self.timeout, on_failure=self.on_failure,
+                      resume_index=self.resume_index(),
+                      failure_report=self.failure_report)
+        if self.backend == "local":
+            return Executor(jobs=self.jobs, **kwargs)
+        from ..serve import ServeExecutor
+        return ServeExecutor(self._ensure_client(), **kwargs)
 
-    def _ensure_serve_client(self):
-        """Connect to the serve daemon on first use."""
-        if self._serve_client is None:
+    def _ensure_client(self):
+        """Open the serve-daemon session on first use."""
+        if self._client is None:
             from ..serve import ServeClient
-            connect = self.serve_options.get("connect")
-            if not connect:
-                raise ValueError("serve backend needs a daemon address "
-                                 "(--connect HOST:PORT)")
-            kwargs = {}
-            if "secret" in self.serve_options:
-                kwargs["secret"] = self.serve_options["secret"]
-            if "tls" in self.serve_options:
-                kwargs["tls"] = self.serve_options["tls"]
-            client = ServeClient(connect, **kwargs)
-            client.connect()
-            self._serve_client = client
-        return self._serve_client
-
-    def _ensure_coordinator(self):
-        """Start the coordinator (and loopback workers) on first use."""
-        if self._coordinator is None:
-            import sys
-
-            from ..cluster import Coordinator
-            from ..cluster.protocol import parse_address
-            host, port = parse_address(
-                self.cluster_options.get("bind") or "127.0.0.1:0")
-            kwargs = {}
-            if "secret" in self.cluster_options:
-                kwargs["secret"] = self.cluster_options["secret"]
-            coordinator = Coordinator(host=host, port=port,
-                                      job_timeout=self.timeout, **kwargs)
-            coordinator.start()
-            workers = int(self.cluster_options.get("workers", 0))
-            if workers:
-                coordinator.spawn_local_workers(workers)
-                print(f"[cluster] coordinator on {coordinator.address}, "
-                      f"spawned {workers} loopback worker(s)",
-                      file=sys.stderr)
-                coordinator.wait_for_workers(
-                    1, timeout=self.cluster_options.get(
-                        "connect_timeout", 60.0))
+            if self.backend == "cluster":
+                address, kwargs = self._start_daemon()
             else:
-                print(f"[cluster] coordinator on {coordinator.address}, "
-                      f"waiting for workers (`repro cluster worker "
-                      f"--connect {coordinator.address}`)", file=sys.stderr)
-            self._coordinator = coordinator
-        return self._coordinator
+                address = self.serve_options.get("connect")
+                if not address:
+                    raise ValueError("serve backend needs a daemon address "
+                                     "(--connect HOST:PORT)")
+                kwargs = {key: self.serve_options[key]
+                          for key in ("secret", "tls")
+                          if key in self.serve_options}
+            client = ServeClient(address, **kwargs)
+            client.connect()
+            self._client = client
+        return self._client
+
+    def _start_daemon(self):
+        """The cluster backend: a serve daemon in this process.
+
+        It has no store and no ledger: this process's executor writes
+        the cache and ledger.  Returns the address to dial and the
+        client's ``secret``/``tls`` arguments.
+        """
+        import sys
+
+        from ..cluster import TLSConfig
+        from ..cluster.protocol import parse_address
+        from ..serve import ServeDaemon
+        host, port = parse_address(
+            self.cluster_options.get("bind") or "127.0.0.1:0")
+        tls = self.cluster_options.get("tls")
+        kwargs = {}
+        if "secret" in self.cluster_options:
+            kwargs["secret"] = self.cluster_options["secret"]
+        daemon = self._daemon = ServeDaemon(
+            host=host, port=port, tls=tls, job_timeout=self.timeout,
+            **kwargs)
+        daemon.start()
+        workers = int(self.cluster_options.get("workers", 0))
+        if workers:
+            daemon.coordinator.spawn_local_workers(workers)
+            print(f"[cluster] coordinator on {daemon.address}, "
+                  f"spawned {workers} loopback worker(s)", file=sys.stderr)
+            daemon.coordinator.wait_for_workers(1)
+        else:
+            print(f"[cluster] coordinator on {daemon.address}, "
+                  f"waiting for workers (`repro cluster worker "
+                  f"--connect {daemon.address}`)", file=sys.stderr)
+        # The client pins our own certificate, as spawned workers do.
+        client_tls = (TLSConfig.client(fingerprint=tls.own_fingerprint())
+                      if tls is not None else False)
+        return daemon.address, {"secret": daemon.coordinator.secret,
+                                "tls": client_tls}
 
     def close(self):
         """Release cluster/serve resources (no-op for the local backend)."""
-        if self._coordinator is not None:
-            self._coordinator.close()
-            self._coordinator = None
-        if self._serve_client is not None:
-            self._serve_client.close()
-            self._serve_client = None
+        if self._client is not None:
+            self._client.close()
+            self._client = None
+        if self._daemon is not None:
+            self._daemon.close()
+            self._daemon = None
 
     @classmethod
     def from_env(cls):

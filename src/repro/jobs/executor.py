@@ -98,8 +98,10 @@ class SweepFailureReport:
             "technique": spec.technique,
             "error": str(error),
             "attempts": int(attempts),
-            # Where the sweep gave up: "parent" (the in-process retry
-            # also failed) or "cluster" (retry budget / workers gone).
+            # Where the sweep gave up: "parent" (a local job's
+            # in-process retry also failed) or "cluster" (the cluster or
+            # serve backend's daemon gave up -- retry budget spent or no
+            # workers -- and so did the in-process retry).
             "stage": stage,
         })
 

@@ -11,7 +11,9 @@ the client's recv timeout the same way.
 ``Executor.run(specs) -> [Metrics]`` contract: dedup, local cache
 lookups, ledger records, progress, and input-order results are the
 shared code paths, so a daemon-served sweep is bit-identical to a local
-one.  Results the daemon pulled from its shared store arrive flagged
+one.  It is the executor of both remote backends: ``--backend serve``
+dials a running daemon, ``--backend cluster`` one started in the sweep
+process.  Results the daemon pulled from its shared store arrive flagged
 ``cached`` and are recorded as ledger hits (worker ``"store"``) so they
 can never teach the cost model a zero-second rate.
 """
@@ -131,11 +133,10 @@ class ServeClient:
         """Submit one sweep; stream completions into ``on_result``.
 
         ``on_result(spec, metrics, worker=..., retries=..., wall_s=...,
-        from_store=...)`` fires on this thread per completed job (the
-        same threading contract as ``Coordinator.execute``).  Returns
-        ``key -> (spec, error, attempts)`` for jobs the daemon gave up
-        on, so the executor's parent-retry fallback stays identical to
-        the cluster backend's.
+        from_store=...)`` fires on this thread per completed job, so the
+        caller's cache and ledger stay single-writer.  Returns ``key ->
+        (spec, error, attempts)`` for jobs the daemon gave up on; the
+        executor retries those once in its own process.
         """
         from ..harness.metrics import Metrics
         self.connect()
@@ -161,8 +162,10 @@ class ServeClient:
                 sweep_id = message.get("sweep")
                 continue
             if kind == JOB_DONE:
-                if sweep_id is not None and message.get("sweep") != sweep_id:
-                    continue         # a stale/unrelated sweep's stream
+                # Frames before SWEEP_ACCEPTED belong to an earlier sweep
+                # on this session (one whose caller stopped reading).
+                if sweep_id is None or message.get("sweep") != sweep_id:
+                    continue
                 key = message.get("job_id")
                 spec = by_key.get(key)
                 if spec is None or key in settled:
@@ -180,7 +183,7 @@ class ServeClient:
                                    message.get("retries", 0))
                 continue
             if kind == SWEEP_DONE:
-                if sweep_id is None or message.get("sweep") == sweep_id:
+                if sweep_id is not None and message.get("sweep") == sweep_id:
                     return failed
             # Unknown frame types are ignored for forward compatibility.
 
@@ -223,7 +226,7 @@ class ServeExecutor(Executor):
 
         failed = self.client.run(self._schedule(pending), finish)
         # Last resort, in input order for determinism: one in-parent
-        # attempt per given-up job, mirroring the cluster backend.
+        # attempt per given-up job, like the local pool's retry.
         for spec in pending:
             failure = failed.get(spec.key)
             if failure is None:
@@ -235,7 +238,7 @@ class ServeExecutor(Executor):
                                        f"{attempts} attempt(s): {error}"))
             except JobError as exhausted:
                 self._give_up(spec, exhausted, attempts + 1, unique,
-                              results, cached, stage="serve")
+                              results, cached, stage="cluster")
                 continue
             self._finish_job(spec, metrics, unique, results, cached,
                              wall_s=wall_s, worker="parent",

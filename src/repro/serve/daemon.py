@@ -1,10 +1,13 @@
 """`repro serve`: an always-on sweep service over one worker fleet.
 
-A :class:`ServeDaemon` promotes the per-sweep
-:class:`~repro.cluster.coordinator.Coordinator` into a long-running
-service.  The coordinator still owns the listening socket, the TLS/HMAC
-handshake, and the worker registry; the daemon adds, on top of the same
-event queue:
+A :class:`ServeDaemon` is the one scheduling loop of the sweep stack.
+It embeds a :class:`~repro.cluster.coordinator.Coordinator`, which owns
+the listening socket, the TLS/HMAC handshake, the worker registry and
+the lease steps, and drives it from one scheduler thread.  ``repro
+serve`` runs it as a long-lived service; ``--backend cluster`` runs a
+single-session one inside the sweep process (see
+:class:`repro.jobs.ExecutionContext`).  On top of the coordinator's
+event queue the daemon adds:
 
 * **client sessions** -- a dialer whose first frame is ``SESSION``
   (instead of a worker's ``HELLO``) is handed to the daemon, which
@@ -23,13 +26,13 @@ event queue:
   they are streamed, so any other coordinator (or this daemon after a
   restart) serves them as cache hits.
 
-The daemon survives the cluster fault matrix unchanged (dead workers
+The scheduler carries the whole cluster fault matrix (dead workers
 requeue leases with backoff, stuck jobs expire, stale-salt dialers are
-rejected) plus the client-side rows: a client that disconnects
-mid-sweep loses only its own undelivered results -- its queued jobs are
-dropped unless another session's sweep still wants them, jobs already
-on a worker finish into the store, and every other session's sweep
-proceeds undisturbed.
+rejected, ``max_attempts`` and ``worker_grace`` give up) plus the
+client-side rows: a client that disconnects mid-sweep loses only its
+own undelivered results -- its queued jobs are dropped unless another
+session's sweep still wants them, jobs already on a worker finish into
+the store, and every other session's sweep proceeds undisturbed.
 
 Single-writer discipline: scheduling state (``_interest``,
 ``_inflight``) is mutated only on the scheduler thread; reader threads
@@ -70,10 +73,7 @@ class ServeDaemon:
                  heartbeat_interval=2.0, quiet=False):
         self.coordinator = Coordinator(
             host=host, port=port, job_timeout=job_timeout,
-            heartbeat_timeout=heartbeat_timeout, retry_base=retry_base,
-            retry_cap=retry_cap, max_attempts=max_attempts,
-            worker_grace=worker_grace, poll_interval=poll_interval,
-            secret=secret, tls=tls)
+            heartbeat_timeout=heartbeat_timeout, secret=secret, tls=tls)
         self.coordinator.client_handler = self._client_session
         self.coordinator.status_extra = self._status_extra
         #: ResultCache on the store dir (or any get/put cache); None
@@ -83,6 +83,15 @@ class ServeDaemon:
         self.ledger = ledger if ledger is not None else NullLedger()
         self.session_timeout = max(session_timeout, 3 * heartbeat_interval)
         self.heartbeat_interval = heartbeat_interval
+        #: A failed lease is retried after ``retry_base * 2^(attempts-1)``
+        #: seconds (capped at ``retry_cap``), ``max_attempts`` times in
+        #: all; queued jobs fail after ``worker_grace`` seconds with no
+        #: live worker.
+        self.retry_base = retry_base
+        self.retry_cap = retry_cap
+        self.max_attempts = max(1, int(max_attempts))
+        self.worker_grace = worker_grace
+        self.poll_interval = poll_interval
         self.quiet = quiet
         self.registry = SessionRegistry()
         self.queue = FairShareQueue()
@@ -213,10 +222,9 @@ class ServeDaemon:
             self._dispatch(now)
             if coordinator.live_workers():
                 last_live = now
-            elif len(self.queue) and \
-                    now - last_live > coordinator.worker_grace:
+            elif len(self.queue) and now - last_live > self.worker_grace:
                 self._fail_all_queued(
-                    f"no live workers for {coordinator.worker_grace:.0f}s")
+                    f"no live workers for {self.worker_grace:.0f}s")
             if now - last_beat >= self.heartbeat_interval:
                 last_beat = now
                 for session in self.registry.live():
@@ -227,7 +235,7 @@ class ServeDaemon:
                             ("client-gone", session, "heartbeat failed"))
             try:
                 kind, subject, payload = self._events().get(
-                    timeout=coordinator.poll_interval)
+                    timeout=self.poll_interval)
             except queue_module.Empty:
                 continue
             try:
@@ -358,7 +366,6 @@ class ServeDaemon:
 
     def _settle_failure(self, job, error):
         """A lease attempt failed: back off + requeue, or give up."""
-        coordinator = self.coordinator
         job.attempts += 1
         job.last_error = error
         watchers = self._live_watchers(job.key)
@@ -369,15 +376,15 @@ class ServeDaemon:
             self._inflight.pop(job.key, None)
             self._interest.pop(job.key, None)
             return
-        if job.attempts >= coordinator.max_attempts:
+        if job.attempts >= self.max_attempts:
             with self._lock:
                 self._stats["jobs_failed"] += 1
             self._inflight.pop(job.key, None)
             self._deliver(job.key, ok=False, error=str(error),
                           retries=job.attempts)
         else:
-            backoff = min(coordinator.retry_cap,
-                          coordinator.retry_base * (2 ** (job.attempts - 1)))
+            backoff = min(self.retry_cap,
+                          self.retry_base * (2 ** (job.attempts - 1)))
             job.not_before = time.monotonic() + backoff
             # Ownership may have moved if the original submitter left.
             job.session_id = watchers[0][0]

@@ -12,10 +12,9 @@ fleet.  Scheduling is two-level:
   submission time (the same LPT heuristic the per-sweep backends use),
   so each session's own tail latency stays minimal.
 
-Jobs carry the retry/backoff state the coordinator's per-sweep ``_Job``
-records carry (``attempts``, ``not_before``); a backoff-gated job is
-skipped, not blocking -- the session's next eligible job (or the next
-session) runs instead.
+Each :class:`ServeJob` carries its retry/backoff state (``attempts``,
+``not_before``); a backoff-gated job is skipped, not blocking -- the
+session's next eligible job (or the next session) runs instead.
 """
 
 from __future__ import annotations

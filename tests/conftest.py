@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import subprocess
 
 import pytest
 
@@ -31,6 +32,19 @@ def _isolated_jobs_cache(tmp_path_factory):
     else:
         os.environ["REPRO_CACHE_DIR"] = old
     jobs.set_context(None)
+
+
+@pytest.fixture(scope="session")
+def tls_cert(tmp_path_factory):
+    """Self-signed server certificate + key via the openssl CLI."""
+    cert_dir = tmp_path_factory.mktemp("tls")
+    cert, key = str(cert_dir / "serve.crt"), str(cert_dir / "serve.key")
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes",
+         "-keyout", key, "-out", cert, "-days", "2",
+         "-subj", "/CN=repro-serve-test"],
+        check=True, capture_output=True)
+    return cert, key
 
 
 @pytest.fixture

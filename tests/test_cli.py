@@ -186,17 +186,43 @@ class TestClusterCommand:
         assert main(["cluster", "defrag"]) == 2
 
     def test_status_against_live_coordinator(self, capsys):
-        from repro.cluster import Coordinator
-        coordinator = Coordinator()
-        coordinator.start()
+        from repro.serve import ServeDaemon
+        daemon = ServeDaemon(quiet=True)
+        daemon.start()
+        port = daemon.coordinator.port
         try:
             assert main(["cluster", "status", "--connect",
-                         f"127.0.0.1:{coordinator.port}"]) == 0
+                         f"127.0.0.1:{port}"]) == 0
             out = capsys.readouterr().out
-            assert f"coordinator  127.0.0.1:{coordinator.port}" in out
+            assert f"coordinator  127.0.0.1:{port}" in out
             assert "workers      0" in out
         finally:
-            coordinator.close()
+            daemon.close()
+
+    def test_bind_conflict_is_one_stderr_line(self, capsys, tmp_path):
+        """A cluster sweep or a daemon whose port is taken exits 1 with
+        one line, not a traceback."""
+        import socket
+
+        from repro import jobs
+        holder = socket.socket()
+        holder.bind(("127.0.0.1", 0))
+        holder.listen(1)
+        bind = f"127.0.0.1:{holder.getsockname()[1]}"
+        try:
+            for argv in (["sweep", "fig9", "--backend", "cluster",
+                          "--workers", "0", "--graphs", "--instructions",
+                          "1000", "--no-cache"],
+                         ["serve", "--workers", "0"]):
+                assert main(argv + ["--bind", bind, "--cache-dir",
+                                    str(tmp_path)]) == 1
+                lines = capsys.readouterr().err.splitlines()
+                assert len(lines) == 1, lines
+                assert lines[0].startswith(f"{argv[0]}: ")
+                assert "cannot bind" in lines[0]
+        finally:
+            holder.close()
+            jobs.set_context(None)
 
 
 class TestReportCommand:

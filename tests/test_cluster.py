@@ -2,11 +2,12 @@
 
 Covers the wire protocol framing, the ledger-learned cost model and
 longest-first scheduler, coordinator/worker handshake policy (code-salt
-rejection), and the full loopback path: a coordinator plus real worker
-subprocesses (spawned exactly as ``repro cluster worker --connect``
-users would) producing bit-identical metrics to the local backend --
-including when a worker is SIGKILLed mid-sweep, when a job keeps
-crashing, and when every worker disappears.
+rejection), and the full loopback path that ``--backend cluster`` runs:
+a serve daemon in the sweep process plus real worker subprocesses
+(spawned exactly as ``repro cluster worker --connect`` users would)
+producing bit-identical metrics to the local backend -- including when
+a worker is SIGKILLed mid-sweep, when a job keeps crashing, and when
+every worker disappears.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ import time
 import pytest
 
 from repro.config import SimConfig, TECH_DVR, TECH_OOO
-from repro.cluster import (AuthenticationError, ClusterExecutor, Coordinator,
-                           CostModel, ProtocolError, Worker, cost_model_for,
+from repro.cluster import (AuthenticationError, Coordinator, CostModel,
+                           ProtocolError, TLSConfig, Worker, cost_model_for,
                            longest_first, parse_address, query_status)
 from repro.cluster import WorkerHandle, protocol
-from repro.cluster.coordinator import _Job
-from repro.jobs import (Executor, JobSpec, NullCache, NullLedger,
-                        ResultCache, RunLedger)
-from repro.serve import ServeDaemon, ServeJob
+from repro.jobs import (ExecutionContext, Executor, JobSpec, NullCache,
+                        NullLedger, ResultCache, RunLedger)
+from repro.serve import ServeClient, ServeDaemon, ServeExecutor, ServeJob
 
 
 def _spec(workload="nas-is", technique=TECH_OOO, seed=12345,
@@ -214,10 +214,10 @@ class _FakeConnection:
 
 class TestLeasePath:
     """``Coordinator.idle_workers/lease/release/drop_worker``, driven by
-    both the per-sweep ``_dispatch`` and the serve daemon's."""
+    the serve daemon's ``_dispatch``."""
 
-    def _coordinator(self):
-        return Coordinator(job_timeout=30.0)
+    def _daemon(self):
+        return ServeDaemon(job_timeout=30.0, quiet=True)
 
     def _register(self, coordinator, name, broken=False):
         worker = WorkerHandle(_FakeConnection(broken), name=name)
@@ -229,83 +229,99 @@ class TestLeasePath:
         return [fields["job_id"] for kind, fields in worker.connection.sent
                 if kind == protocol.JOB]
 
-    def test_one_job_per_idle_worker(self):
-        coordinator = self._coordinator()
-        fleet = [self._register(coordinator, f"w{i}") for i in range(2)]
-        jobs = [_Job(_spec(seed=seed)) for seed in (1, 2, 3)]
-        ready = list(jobs)
-        coordinator._dispatch(ready, now=100.0)
-        assert [self._jobs_sent(w) for w in fleet] == \
-            [[jobs[0].key], [jobs[1].key]]
-        assert ready == [jobs[2]]
-        for worker, job in zip(fleet, jobs):
-            assert worker.jobs == {job.key: job}
-            assert worker.deadline == 130.0
-        # Both workers are busy now: another pass leases nothing.
-        coordinator._dispatch(ready, now=101.0)
-        assert ready == [jobs[2]]
-        assert all(len(self._jobs_sent(w)) == 1 for w in fleet)
-
-    def test_serve_dispatch_one_job_per_idle_worker(self):
-        daemon = ServeDaemon(job_timeout=30.0, quiet=True)
-        fleet = [self._register(daemon.coordinator, f"w{i}")
-                 for i in range(2)]
-        jobs = [ServeJob(_spec(seed=seed), "s1") for seed in (1, 2, 3)]
+    def _queue(self, daemon, seeds):
+        jobs = [ServeJob(_spec(seed=seed), "s1") for seed in seeds]
         for job in jobs:
             daemon.queue.add(job)
+        return jobs
+
+    def test_one_job_per_idle_worker(self):
+        daemon = self._daemon()
+        fleet = [self._register(daemon.coordinator, f"w{i}")
+                 for i in range(2)]
+        jobs = self._queue(daemon, (1, 2, 3))
         daemon._dispatch(now=100.0)
         assert [self._jobs_sent(w) for w in fleet] == \
             [[jobs[0].key], [jobs[1].key]]
         assert len(daemon.queue) == 1
-        assert daemon.queue.next_job(now=100.0) is jobs[2]
+        for worker, job in zip(fleet, jobs):
+            assert worker.jobs == {job.key: job}
+            assert worker.deadline == 130.0
+        # Both workers are busy now: another pass leases nothing.
+        daemon._dispatch(now=101.0)
+        assert len(daemon.queue) == 1
+        assert all(len(self._jobs_sent(w)) == 1 for w in fleet)
+        assert daemon.queue.next_job(now=101.0) is jobs[2]
+
+    def test_serve_dispatch_one_job_per_idle_worker(self):
+        """With two sessions queued, one pass gives each idle worker one
+        job, taking the sessions in turn."""
+        daemon = self._daemon()
+        fleet = [self._register(daemon.coordinator, f"w{i}")
+                 for i in range(2)]
+        first = [ServeJob(_spec(seed=seed), "s1") for seed in (1, 2)]
+        other = [ServeJob(_spec(seed=seed), "s2") for seed in (3, 4)]
+        for job in first + other:
+            daemon.queue.add(job)
+        daemon._dispatch(now=100.0)
+        assert [self._jobs_sent(w) for w in fleet] == \
+            [[first[0].key], [other[0].key]]
+        assert daemon.queue.queued_for("s1") == 1
+        assert daemon.queue.queued_for("s2") == 1
 
     def test_busy_and_killing_workers_get_no_job(self):
-        coordinator = self._coordinator()
+        daemon = self._daemon()
+        coordinator = daemon.coordinator
         busy = self._register(coordinator, "busy")
         killing = self._register(coordinator, "killing")
         idle = self._register(coordinator, "idle")
-        held = _Job(_spec(seed=9))
+        held = ServeJob(_spec(seed=9), "s1")
         assert coordinator.lease(busy, held, now=0.0)
         killing.killing = True
         assert coordinator.idle_workers() == [idle]
-        jobs = [_Job(_spec(seed=seed)) for seed in (1, 2)]
-        ready = list(jobs)
-        coordinator._dispatch(ready, now=1.0)
+        jobs = self._queue(daemon, (1, 2))
+        daemon._dispatch(now=1.0)
         assert self._jobs_sent(busy) == [held.key]
         assert self._jobs_sent(killing) == []
         assert self._jobs_sent(idle) == [jobs[0].key]
-        assert ready == [jobs[1]]
+        assert len(daemon.queue) == 1
+        assert daemon.queue.next_job(now=1.0) is jobs[1]
 
     def test_send_failure_marks_killing_and_keeps_job_ready(self):
-        coordinator = self._coordinator()
+        daemon = self._daemon()
+        coordinator = daemon.coordinator
         broken = self._register(coordinator, "broken", broken=True)
-        job = _Job(_spec(seed=1))
-        ready = [job]
-        coordinator._dispatch(ready, now=5.0)
-        assert ready == [job]
+        first, second = self._queue(daemon, (1, 2))
+        daemon._dispatch(now=5.0)
         assert broken.killing and broken.connection.closed
         assert broken.jobs == {} and broken.deadline is None
         kind, worker, reason = coordinator._events.get_nowait()
         assert (kind, worker) == ("dead", broken)
         assert "send failed" in reason
         assert coordinator.idle_workers() == []
-
-    def test_serve_send_failure_requeues_at_front(self):
-        daemon = ServeDaemon(job_timeout=30.0, quiet=True)
-        broken = self._register(daemon.coordinator, "broken", broken=True)
-        first, second = (ServeJob(_spec(seed=seed), "s1") for seed in (1, 2))
-        daemon.queue.add(first)
-        daemon.queue.add(second)
-        daemon._dispatch(now=5.0)
-        assert broken.killing
-        assert daemon.coordinator._events.get_nowait()[0] == "dead"
+        # The job goes back to the front of its session's queue.
         assert len(daemon.queue) == 2
         assert daemon.queue.next_job(now=5.0) is first
 
+    def test_serve_send_failure_requeues_at_front(self):
+        """A job whose send fails goes back to the front of its queue, so
+        the next idle worker in the same pass takes it."""
+        daemon = self._daemon()
+        broken = self._register(daemon.coordinator, "broken", broken=True)
+        healthy = self._register(daemon.coordinator, "healthy")
+        first, second = self._queue(daemon, (1, 2))
+        daemon._dispatch(now=5.0)
+        assert broken.killing
+        assert daemon.coordinator._events.get_nowait()[0] == "dead"
+        assert self._jobs_sent(healthy) == [first.key]
+        assert healthy.jobs == {first.key: first}
+        assert len(daemon.queue) == 1
+        assert daemon.queue.next_job(now=5.0) is second
+
     def test_result_ends_lease_and_clears_deadline(self):
-        coordinator = self._coordinator()
+        coordinator = self._daemon().coordinator
         worker = self._register(coordinator, "w")
-        job = _Job(_spec(seed=1))
+        job = ServeJob(_spec(seed=1), "s1")
         assert coordinator.lease(worker, job, now=10.0)
         assert worker.deadline == 40.0
         # A stale RESULT leaves the live lease and its expiry alone.
@@ -316,9 +332,9 @@ class TestLeasePath:
         assert coordinator.idle_workers() == [worker]
 
     def test_drop_worker_returns_its_lost_job(self):
-        coordinator = self._coordinator()
+        coordinator = self._daemon().coordinator
         worker = self._register(coordinator, "w")
-        job = _Job(_spec(seed=1))
+        job = ServeJob(_spec(seed=1), "s1")
         coordinator.lease(worker, job, now=0.0)
         assert coordinator.drop_worker(worker) == [job]
         assert not worker.alive and worker.connection.closed
@@ -329,25 +345,47 @@ class TestLeasePath:
 # ---------------------------------------------------------------------------
 # Loopback cluster helpers
 # ---------------------------------------------------------------------------
+class _Loopback:
+    """A started serve daemon plus the client sessions dialled into it:
+    what ``--backend cluster`` runs in the sweep process, with test
+    timeouts."""
+
+    def __init__(self, **daemon_kwargs):
+        self.daemon = ServeDaemon(quiet=True, **daemon_kwargs)
+        self.daemon.start()
+        self.coordinator = self.daemon.coordinator
+        self.port = self.coordinator.port
+        self._clients = []
+
+    def executor(self, tmp_path=None, *, cache=None, ledger=None,
+                 **kwargs):
+        """A ServeExecutor on a new session; with ``tmp_path``, over the
+        result cache and ``runs.jsonl`` ledger there."""
+        if tmp_path is not None:
+            cache = ResultCache(str(tmp_path))
+            ledger = RunLedger(str(tmp_path / "runs.jsonl"))
+        client = ServeClient(self.daemon.address,
+                             secret=self.coordinator.secret, tls=False)
+        self._clients.append(client)
+        return ServeExecutor(client, cache=cache, ledger=ledger, **kwargs)
+
+    def close(self):
+        for client in self._clients:
+            client.close()
+        self.daemon.close()
+
+
 @pytest.fixture
-def coordinator():
-    coordinator = Coordinator(job_timeout=120, heartbeat_timeout=15.0,
-                              retry_base=0.05, retry_cap=0.2,
-                              worker_grace=30.0)
-    coordinator.start()
-    yield coordinator
-    coordinator.close()
+def cluster():
+    loopback = _Loopback(job_timeout=120, heartbeat_timeout=15.0,
+                         retry_base=0.05, retry_cap=0.2, worker_grace=30.0)
+    yield loopback
+    loopback.close()
 
 
-def _cluster_executor(coordinator, tmp_path, progress=None):
-    return ClusterExecutor(
-        coordinator, cache=ResultCache(str(tmp_path)),
-        ledger=RunLedger(str(tmp_path / "runs.jsonl")), progress=progress)
-
-
-def _thread_worker(coordinator, **kwargs):
-    """An in-process worker serving the coordinator from a daemon thread."""
-    worker = Worker(f"127.0.0.1:{coordinator.port}", **kwargs)
+def _thread_worker(cluster, **kwargs):
+    """An in-process worker serving the daemon from a daemon thread."""
+    worker = Worker(f"127.0.0.1:{cluster.port}", **kwargs)
     thread = threading.Thread(target=worker.serve, daemon=True)
     thread.start()
     return worker, thread
@@ -357,14 +395,13 @@ def _thread_worker(coordinator, **kwargs):
 # End-to-end: subprocess workers on 127.0.0.1 (the CI loopback suite)
 # ---------------------------------------------------------------------------
 class TestLoopbackSweep:
-    def test_two_subprocess_workers_match_serial(self, coordinator,
-                                                 tmp_path):
+    def test_two_subprocess_workers_match_serial(self, cluster, tmp_path):
         specs = _sweep_specs(6)
         serial = Executor(jobs=1, cache=NullCache()).run(specs)
 
-        coordinator.spawn_local_workers(2)
-        coordinator.wait_for_workers(2, timeout=60)
-        clustered = _cluster_executor(coordinator, tmp_path).run(specs)
+        cluster.coordinator.spawn_local_workers(2)
+        cluster.coordinator.wait_for_workers(2, timeout=60)
+        clustered = cluster.executor(tmp_path).run(specs)
 
         for expected, actual in zip(serial, clustered):
             assert json.dumps(actual.to_dict(), sort_keys=True) == \
@@ -374,23 +411,23 @@ class TestLoopbackSweep:
         workers = {str(r["worker"]) for r in records}
         assert "parent" not in workers          # everything ran remotely
         assert all(r["retries"] == 0 for r in records)
-        # Second run: everything is served from the coordinator's cache.
-        rerun = _cluster_executor(coordinator, tmp_path).run(specs)
+        # Second run: everything is served from the sweep process's cache.
+        rerun = cluster.executor(tmp_path).run(specs)
         records = RunLedger.read(str(tmp_path / "runs.jsonl"))
         assert [r["cache"] for r in records[len(specs):]] == \
             ["hit"] * len(specs)
         for expected, actual in zip(serial, rerun):
             assert actual.cycles == expected.cycles
 
-    def test_sigkill_worker_mid_sweep_reassigns_leases(self, coordinator,
+    def test_sigkill_worker_mid_sweep_reassigns_leases(self, cluster,
                                                        tmp_path):
         """Acceptance: kill one of two workers; the sweep still completes
         with bit-identical metrics."""
         specs = _sweep_specs(8)
         serial = Executor(jobs=1, cache=NullCache()).run(specs)
 
-        processes = coordinator.spawn_local_workers(2)
-        coordinator.wait_for_workers(2, timeout=60)
+        processes = cluster.coordinator.spawn_local_workers(2)
+        cluster.coordinator.wait_for_workers(2, timeout=60)
 
         class KillOnFirstResult:
             """Progress hook that SIGKILLs a worker at the first result."""
@@ -408,8 +445,7 @@ class TestLoopbackSweep:
                 pass
 
         progress = KillOnFirstResult(processes[0])
-        clustered = _cluster_executor(coordinator, tmp_path,
-                                      progress=progress).run(specs)
+        clustered = cluster.executor(tmp_path, progress=progress).run(specs)
 
         assert progress.killed
         assert processes[0].wait(timeout=30) is not None
@@ -425,12 +461,12 @@ class TestLoopbackSweep:
 # Fault tolerance with in-process workers (fast, deterministic injection)
 # ---------------------------------------------------------------------------
 class TestFaultTolerance:
-    def test_stale_salt_worker_rejected(self, coordinator):
-        worker = Worker(f"127.0.0.1:{coordinator.port}", salt="stale-tree")
+    def test_stale_salt_worker_rejected(self, cluster):
+        worker = Worker(f"127.0.0.1:{cluster.port}", salt="stale-tree")
         assert worker.serve() == 2              # WorkerRejected exit code
-        assert coordinator.live_workers() == []
+        assert cluster.coordinator.live_workers() == []
 
-    def test_job_exception_requeues_with_retry_accounting(self, coordinator,
+    def test_job_exception_requeues_with_retry_accounting(self, cluster,
                                                           tmp_path):
         from repro.harness.runner import run_spec
         failures = {"left": 1}
@@ -441,9 +477,9 @@ class TestFaultTolerance:
                 raise RuntimeError("injected job crash")
             return run_spec(spec)
 
-        _thread_worker(coordinator, run_job=flaky, worker_id="flaky-w")
-        coordinator.wait_for_workers(1, timeout=10)
-        executor = _cluster_executor(coordinator, tmp_path)
+        _thread_worker(cluster, run_job=flaky, worker_id="flaky-w")
+        cluster.coordinator.wait_for_workers(1, timeout=10)
+        executor = cluster.executor(tmp_path)
         results = executor.run([_spec()])
         assert results[0].cycles > 0
         records = RunLedger.read(str(tmp_path / "runs.jsonl"))
@@ -453,45 +489,42 @@ class TestFaultTolerance:
 
     def test_lease_timeout_moves_job_to_healthy_worker(self, tmp_path):
         from repro.harness.runner import run_spec
-        coordinator = Coordinator(job_timeout=1.0, heartbeat_timeout=30.0,
-                                  retry_base=0.05, retry_cap=0.1,
-                                  worker_grace=30.0)
-        coordinator.start()
+        cluster = _Loopback(job_timeout=1.0, heartbeat_timeout=30.0,
+                            retry_base=0.05, retry_cap=0.1,
+                            worker_grace=30.0)
         try:
             def stuck(spec):
                 time.sleep(60)
                 return run_spec(spec)
 
             # The stuck worker joins first, so it gets the first lease.
-            _thread_worker(coordinator, run_job=stuck, worker_id="stuck-w")
-            coordinator.wait_for_workers(1, timeout=10)
-            _thread_worker(coordinator, run_job=run_spec,
-                           worker_id="healthy-w")
-            coordinator.wait_for_workers(2, timeout=10)
+            _thread_worker(cluster, run_job=stuck, worker_id="stuck-w")
+            cluster.coordinator.wait_for_workers(1, timeout=10)
+            _thread_worker(cluster, run_job=run_spec, worker_id="healthy-w")
+            cluster.coordinator.wait_for_workers(2, timeout=10)
 
-            executor = _cluster_executor(coordinator, tmp_path)
+            executor = cluster.executor(tmp_path)
             results = executor.run([_spec()])
             assert results[0].cycles > 0
             record = RunLedger.read(str(tmp_path / "runs.jsonl"))[-1]
             assert record["worker"] == "healthy-w"
             assert record["retries"] >= 1
         finally:
-            coordinator.close()
+            cluster.close()
 
     def test_no_workers_falls_back_to_parent(self, tmp_path):
-        coordinator = Coordinator(worker_grace=0.2, retry_base=0.01)
-        coordinator.start()
+        cluster = _Loopback(worker_grace=0.2, retry_base=0.01)
         try:
-            executor = _cluster_executor(coordinator, tmp_path)
+            executor = cluster.executor(tmp_path)
             results = executor.run([_spec()])
             assert results[0].cycles > 0
             record = RunLedger.read(str(tmp_path / "runs.jsonl"))[-1]
             assert record["worker"] == "parent"
             assert record["status"] == "retried"
         finally:
-            coordinator.close()
+            cluster.close()
 
-    def test_drain_and_rejoin(self, coordinator, tmp_path):
+    def test_drain_and_rejoin(self, cluster, tmp_path):
         """A worker that leaves after every job (max_jobs=1) rejoins and
         the sweep still finishes."""
         from repro.harness.runner import run_spec
@@ -499,17 +532,17 @@ class TestFaultTolerance:
 
         def rejoin_loop():
             while not stop.is_set():
-                worker = Worker(f"127.0.0.1:{coordinator.port}",
+                worker = Worker(f"127.0.0.1:{cluster.port}",
                                 worker_id="revolving-w", max_jobs=1,
                                 run_job=run_spec)
-                if worker.serve() != 0:       # coordinator gone
+                if worker.serve() != 0:       # daemon gone
                     return
 
         thread = threading.Thread(target=rejoin_loop, daemon=True)
         thread.start()
         try:
             specs = [_spec(seed=s) for s in (21, 22, 23)]
-            results = _cluster_executor(coordinator, tmp_path).run(specs)
+            results = cluster.executor(tmp_path).run(specs)
             assert all(m.cycles > 0 for m in results)
             records = RunLedger.read(str(tmp_path / "runs.jsonl"))
             assert len(records) == 3
@@ -526,12 +559,10 @@ class TestAuth:
 
     @pytest.fixture
     def secured(self):
-        coordinator = Coordinator(job_timeout=120, retry_base=0.05,
-                                  retry_cap=0.2, worker_grace=30.0,
-                                  secret=self.SECRET)
-        coordinator.start()
-        yield coordinator
-        coordinator.close()
+        cluster = _Loopback(job_timeout=120, retry_base=0.05, retry_cap=0.2,
+                            worker_grace=30.0, secret=self.SECRET)
+        yield cluster
+        cluster.close()
 
     def test_mac_helpers_are_constant_time_hmac(self):
         mac = protocol.compute_mac(self.SECRET, "nonce-1")
@@ -544,8 +575,8 @@ class TestAuth:
         from repro.harness.runner import run_spec
         _thread_worker(secured, run_job=run_spec, worker_id="auth-w",
                        secret=self.SECRET)
-        secured.wait_for_workers(1, timeout=10)
-        results = _cluster_executor(secured, tmp_path).run([_spec()])
+        secured.coordinator.wait_for_workers(1, timeout=10)
+        results = secured.executor(tmp_path).run([_spec()])
         assert results[0].cycles > 0
         record = RunLedger.read(str(tmp_path / "runs.jsonl"))[-1]
         assert record["worker"] == "auth-w"
@@ -554,13 +585,13 @@ class TestAuth:
         worker = Worker(f"127.0.0.1:{secured.port}", secret=None,
                         reconnect=0, quiet=True)
         assert worker.serve() == 2
-        assert secured.live_workers() == []
+        assert secured.coordinator.live_workers() == []
 
     def test_worker_with_wrong_secret_rejected(self, secured):
         worker = Worker(f"127.0.0.1:{secured.port}", secret="not-it",
                         reconnect=0, quiet=True)
         assert worker.serve() == 2
-        assert secured.live_workers() == []
+        assert secured.coordinator.live_workers() == []
 
     def test_status_query_requires_the_secret(self, secured):
         address = f"127.0.0.1:{secured.port}"
@@ -582,7 +613,7 @@ class TestAuth:
         """Explicit secret=None disables auth on both ends regardless of
         the environment (the env fallback is only for unset secrets)."""
         monkeypatch.delenv("REPRO_CLUSTER_SECRET", raising=False)
-        coordinator = Coordinator(worker_grace=5.0, secret=None)
+        coordinator = Coordinator(secret=None)
         coordinator.start()
         try:
             from repro.harness.runner import run_spec
@@ -612,28 +643,24 @@ class _AbortAfter:
 
 class TestResume:
     def test_interrupted_sweep_resumes_dispatching_only_remainder(
-            self, coordinator, tmp_path):
+            self, cluster, tmp_path):
         from repro.harness.runner import run_spec
-        _thread_worker(coordinator, run_job=run_spec, worker_id="resume-w")
-        coordinator.wait_for_workers(1, timeout=10)
+        _thread_worker(cluster, run_job=run_spec, worker_id="resume-w")
+        cluster.coordinator.wait_for_workers(1, timeout=10)
         specs = _sweep_specs(6)
         serial = Executor(jobs=1, cache=NullCache()).run(specs)
         path = str(tmp_path / "runs.jsonl")
 
         # Sweep dies (parent killed) after three results are recorded.
         with pytest.raises(KeyboardInterrupt):
-            ClusterExecutor(coordinator, cache=ResultCache(str(tmp_path)),
-                            ledger=RunLedger(path),
-                            progress=_AbortAfter(3)).run(specs)
+            cluster.executor(tmp_path, progress=_AbortAfter(3)).run(specs)
         interrupted = RunLedger.read(path)
         assert len(interrupted) == 3
 
         # --resume: completed specs replay from the ledger + cache;
         # only the remainder is dispatched to workers.
-        resumed = ClusterExecutor(
-            coordinator, cache=ResultCache(str(tmp_path)),
-            ledger=RunLedger(path),
-            resume_index=RunLedger.completed_index(path)).run(specs)
+        resumed = cluster.executor(
+            tmp_path, resume_index=RunLedger.completed_index(path)).run(specs)
         for expected, actual in zip(serial, resumed):
             assert json.dumps(actual.to_dict(), sort_keys=True) == \
                 json.dumps(expected.to_dict(), sort_keys=True)
@@ -669,13 +696,12 @@ class TestResume:
 
 class TestFailureReport:
     def test_exhausted_sweep_returns_partial_results(self, tmp_path):
-        coordinator = Coordinator(worker_grace=0.2, retry_base=0.01)
-        coordinator.start()
+        cluster = _Loopback(worker_grace=0.2, retry_base=0.01)
         try:
             path = str(tmp_path / "runs.jsonl")
-            executor = ClusterExecutor(coordinator, cache=NullCache(),
-                                       ledger=RunLedger(path),
-                                       on_failure="report")
+            executor = cluster.executor(cache=NullCache(),
+                                        ledger=RunLedger(path),
+                                        on_failure="report")
             good, bad = _spec(seed=81), _spec(workload="no-such-workload")
             results = executor.run([good, bad])
             assert results[0].cycles > 0        # partial results survive
@@ -688,41 +714,102 @@ class TestFailureReport:
             assert failure["attempts"] >= 1
             assert "exhausted" in report.render()
         finally:
-            coordinator.close()
+            cluster.close()
 
     def test_on_failure_raise_remains_the_default_contract(self, tmp_path):
-        coordinator = Coordinator(worker_grace=0.2, retry_base=0.01)
-        coordinator.start()
+        cluster = _Loopback(worker_grace=0.2, retry_base=0.01)
         try:
             from repro.jobs import JobError
-            executor = ClusterExecutor(coordinator, cache=NullCache(),
-                                       ledger=NullLedger())
+            executor = cluster.executor(cache=NullCache(),
+                                        ledger=NullLedger())
             with pytest.raises(JobError):
                 executor.run([_spec(workload="no-such-workload")])
         finally:
-            coordinator.close()
+            cluster.close()
 
 
 # ---------------------------------------------------------------------------
 # Status introspection
 # ---------------------------------------------------------------------------
 class TestStatus:
-    def test_query_status_reports_workers(self, coordinator):
+    def test_query_status_reports_workers(self, cluster):
         from repro.harness.runner import run_spec
-        _thread_worker(coordinator, run_job=run_spec, worker_id="status-w")
-        coordinator.wait_for_workers(1, timeout=10)
-        info = query_status(f"127.0.0.1:{coordinator.port}")
-        assert info["address"].endswith(str(coordinator.port))
+        _thread_worker(cluster, run_job=run_spec, worker_id="status-w")
+        cluster.coordinator.wait_for_workers(1, timeout=10)
+        info = query_status(f"127.0.0.1:{cluster.port}")
+        assert info["address"].endswith(str(cluster.port))
         assert [w["name"] for w in info["workers"]] == ["status-w"]
         assert info["workers"][0]["state"] == "idle"
-        assert info["jobs"]["total"] == 0
+        assert info["daemon"]["jobs_done"] == 0
 
-    def test_status_counts_jobs_after_sweep(self, coordinator, tmp_path):
+    def test_status_counts_jobs_after_sweep(self, cluster, tmp_path):
         from repro.harness.runner import run_spec
-        _thread_worker(coordinator, run_job=run_spec, worker_id="count-w")
-        coordinator.wait_for_workers(1, timeout=10)
-        _cluster_executor(coordinator, tmp_path).run(
-            [_spec(seed=31), _spec(seed=32)])
-        info = query_status(f"127.0.0.1:{coordinator.port}")
-        assert info["jobs"]["done"] == 2
-        assert info["jobs"]["failed"] == 0
+        _thread_worker(cluster, run_job=run_spec, worker_id="count-w")
+        cluster.coordinator.wait_for_workers(1, timeout=10)
+        cluster.executor(tmp_path).run([_spec(seed=31), _spec(seed=32)])
+        info = query_status(f"127.0.0.1:{cluster.port}")
+        assert info["daemon"]["jobs_done"] == 2
+        assert info["daemon"]["jobs_failed"] == 0
+
+
+# ---------------------------------------------------------------------------
+# `--backend cluster` through ExecutionContext
+# ---------------------------------------------------------------------------
+def _free_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TestClusterBackend:
+    def test_close_stops_workers_and_frees_the_port(self, tmp_path):
+        context = ExecutionContext(backend="cluster",
+                                   cache_dir=str(tmp_path),
+                                   cluster={"workers": 1})
+        try:
+            assert context.executor().run([_spec()])[0].cycles > 0
+            coordinator = context._daemon.coordinator
+            processes = list(coordinator._spawned)
+            port = coordinator.port
+        finally:
+            context.close()
+        assert len(processes) == 1
+        assert all(process.poll() is not None for process in processes)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()
+
+    def test_spawned_workers_of_a_plaintext_daemon_ignore_tls_env(
+            self, monkeypatch):
+        """A fingerprint in the environment is trust for some other
+        server; a loopback worker of a plaintext daemon must not dial
+        TLS with it."""
+        monkeypatch.setenv("REPRO_TLS_FINGERPRINT", "sha256:" + "ab" * 32)
+        daemon = ServeDaemon(quiet=True)
+        daemon.start()
+        try:
+            daemon.coordinator.spawn_local_workers(1)
+            assert daemon.coordinator.wait_for_workers(1, timeout=20) == 1
+        finally:
+            daemon.close()
+
+    def test_tls_cert_reaches_the_in_process_daemon(self, tmp_path,
+                                                    tls_cert):
+        cert, key = tls_cert
+        specs = _sweep_specs(2)
+        serial = Executor(jobs=1, cache=NullCache()).run(specs)
+        address = f"127.0.0.1:{_free_port()}"
+        context = ExecutionContext(
+            backend="cluster", cache_dir=str(tmp_path),
+            cluster={"bind": address, "workers": 1,
+                     "tls": TLSConfig.server(cert, key)})
+        try:
+            results = context.executor().run(specs)
+            for expected, actual in zip(serial, results):
+                assert json.dumps(actual.to_dict(), sort_keys=True) == \
+                    json.dumps(expected.to_dict(), sort_keys=True)
+            with pytest.raises((OSError, ProtocolError)):
+                query_status(address, tls=False)
+            info = query_status(address, tls=TLSConfig.client(cafile=cert))
+            assert info["daemon"]["tls"] is True
+        finally:
+            context.close()

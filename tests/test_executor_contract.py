@@ -1,11 +1,13 @@
 """Backend-independent contract tests for the executor family.
 
-``Executor`` (serial and process-pool), ``ClusterExecutor`` and
-``ServeExecutor`` must be interchangeable behind
-``run(specs) -> [Metrics]``: same dedup semantics, same cache
-accounting, same input-order alignment, same one-retry story when a job
-crashes, and the same ``JobError`` when a job is truly broken.  These
-tests run the identical assertions against all four backends.
+``Executor`` (serial and process-pool) and ``ServeExecutor`` must be
+interchangeable behind ``run(specs) -> [Metrics]``: same dedup
+semantics, same cache accounting, same input-order alignment, same
+one-retry story when a job crashes, and the same ``JobError`` when a job
+is truly broken.  These tests run the identical assertions against all
+four backends; ``cluster`` is built the way ``--backend cluster`` builds
+it, through ``ExecutionContext``, and ``serve`` dials a daemon the test
+started.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import json
 import pytest
 
 from repro.config import SimConfig, TECH_DVR, TECH_OOO
-from repro.cluster import ClusterExecutor, Coordinator, Worker
+from repro.cluster import Worker
 from repro.harness.runner import run_spec
-from repro.jobs import (Executor, JobError, JobSpec, NullCache, ResultCache,
-                        RunLedger)
+from repro.jobs import (ExecutionContext, Executor, JobError, JobSpec,
+                        NullCache, ResultCache, RunLedger)
 from repro.serve import ServeClient, ServeDaemon, ServeExecutor
 
 BACKENDS = ("serial", "pool", "cluster", "serve")
@@ -61,7 +63,7 @@ def make_executor(backend, tmp_path):
 
     from repro.faults import WorkerCrash
 
-    coordinators = []
+    contexts = []
     daemons = []
     clients = []
     stop = threading.Event()
@@ -79,20 +81,28 @@ def make_executor(backend, tmp_path):
         # Injected faults (dropped results, crashes) need the lease
         # timeout + heartbeat machinery to actually run, not sit out a
         # 120s timeout.
-        timeouts = dict(
-            job_timeout=2.0 if injector is not None else 120,
-            heartbeat_timeout=2.5 if injector is not None else 15.0,
-            retry_base=0.05, retry_cap=0.2, max_attempts=8,
-            worker_grace=30.0)
-        if backend == "serve":
-            daemon = ServeDaemon(quiet=True, **timeouts)
+        job_timeout = 2.0 if injector is not None else 120
+        if backend == "cluster":
+            # The context's daemon keeps its default heartbeat, retry
+            # and give-up settings; only the lease timeout is the
+            # context's (its job timeout).
+            context = ExecutionContext(
+                backend="cluster", cache_dir=str(tmp_path / "context"),
+                timeout=job_timeout, cluster={"workers": 0})
+            context.cache, context.ledger = cache, ledger_obj
+            contexts.append(context)
+            executor = context.executor()
+            executor.progress = _Quiet()
+            coordinator = context._daemon.coordinator
+        else:
+            daemon = ServeDaemon(
+                quiet=True, job_timeout=job_timeout,
+                heartbeat_timeout=2.5 if injector is not None else 15.0,
+                retry_base=0.05, retry_cap=0.2, max_attempts=8,
+                worker_grace=30.0)
             daemon.start()
             daemons.append(daemon)
             coordinator = daemon.coordinator
-        else:
-            coordinator = Coordinator(**timeouts)
-            coordinator.start()
-            coordinators.append(coordinator)
 
         def serve_loop(worker_id):
             # With faults armed, crashed/partitioned workers rejoin like
@@ -114,14 +124,13 @@ def make_executor(backend, tmp_path):
             threading.Thread(target=serve_loop, args=(f"w{index}",),
                              daemon=True).start()
         coordinator.wait_for_workers(workers, timeout=10)
-        if backend == "serve":
-            client = ServeClient(f"127.0.0.1:{coordinator.port}")
-            client.connect()
-            clients.append(client)
-            return ServeExecutor(client, cache=cache, ledger=ledger_obj,
-                                 progress=_Quiet())
-        return ClusterExecutor(coordinator, cache=cache, ledger=ledger_obj,
-                               progress=_Quiet())
+        if backend == "cluster":
+            return executor
+        client = ServeClient(f"127.0.0.1:{coordinator.port}")
+        client.connect()
+        clients.append(client)
+        return ServeExecutor(client, cache=cache, ledger=ledger_obj,
+                             progress=_Quiet())
 
     yield factory
     stop.set()
@@ -129,8 +138,8 @@ def make_executor(backend, tmp_path):
         client.close()
     for daemon in daemons:
         daemon.close()
-    for coordinator in coordinators:
-        coordinator.close()
+    for context in contexts:
+        context.close()
 
 
 def _dumps(metrics):

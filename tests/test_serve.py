@@ -15,7 +15,6 @@ on the client side.
 from __future__ import annotations
 
 import json
-import subprocess
 import threading
 import time
 
@@ -455,19 +454,6 @@ class TestServeLoopback:
 # ---------------------------------------------------------------------------
 # TLS
 # ---------------------------------------------------------------------------
-@pytest.fixture(scope="session")
-def tls_cert(tmp_path_factory):
-    """Self-signed server certificate + key via the openssl CLI."""
-    cert_dir = tmp_path_factory.mktemp("tls")
-    cert, key = str(cert_dir / "serve.crt"), str(cert_dir / "serve.key")
-    subprocess.run(
-        ["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes",
-         "-keyout", key, "-out", cert, "-days", "2",
-         "-subj", "/CN=repro-serve-test"],
-        check=True, capture_output=True)
-    return cert, key
-
-
 class TestServeTLS:
     def test_tls_loopback_sweep_bit_identical(self, tmp_path, tls_cert):
         """Acceptance: TLS daemon, CA-verified workers, a fingerprint-
