@@ -4,14 +4,13 @@ Paper shape: VR's speedup over the same-size OoO core shrinks as the ROB
 grows, and the fraction of time stalled on a full ROB collapses.
 """
 
-from repro.harness.experiments import fig2_rob_sweep
+from repro.harness.experiments import run_figure
 
 from conftest import run_and_print, bench_scale
 
 
-def test_fig2_rob_sweep(benchmark):
-    result = run_and_print(benchmark, fig2_rob_sweep, bench_scale(),
-                           rob_sizes=(128, 224, 350, 512))
+def test_fig2_rob_sizes(benchmark):
+    result = run_and_print(benchmark, run_figure, "fig2", bench_scale())
     stalls = {row[0]: row[3] for row in result.rows}
     # Full-ROB stall time decreases with ROB size (paper: 51% -> 5%).
     assert stalls[128] >= stalls[512]

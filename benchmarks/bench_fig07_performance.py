@@ -5,13 +5,13 @@ Paper shape: DVR 2.4x harmonic mean (up to 6.4x), VR ~1.2x, PRE ~1x,
 Oracle on top.
 """
 
-from repro.harness.experiments import fig7_performance
+from repro.harness.experiments import run_figure
 
 from conftest import run_and_print, bench_scale
 
 
-def test_fig7_performance(benchmark):
-    result = run_and_print(benchmark, fig7_performance, bench_scale())
+def test_fig7_speedups(benchmark):
+    result = run_and_print(benchmark, run_figure, "fig7", bench_scale())
     hmean_row = result.rows[-1]
     assert hmean_row[0] == "H-mean"
     headers = result.headers

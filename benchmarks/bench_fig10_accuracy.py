@@ -5,13 +5,13 @@ Paper shape: DVR covers most main-thread misses without over-fetching;
 VR lacks loop-length analysis and can over-fetch substantially.
 """
 
-from repro.harness.experiments import fig10_accuracy
+from repro.harness.experiments import run_figure
 
 from conftest import run_and_print, bench_scale
 
 
 def test_fig10_accuracy(benchmark):
-    result = run_and_print(benchmark, fig10_accuracy, bench_scale())
+    result = run_and_print(benchmark, run_figure, "fig10", bench_scale())
     for label, vr_main, vr_ra, dvr_main, dvr_ra in result.rows:
         total_dvr = dvr_main + dvr_ra
         assert total_dvr < 3.0, f"{label}: DVR should not blow up traffic"

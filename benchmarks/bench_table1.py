@@ -2,13 +2,13 @@
 
 from repro.config import CoreConfig, DvrConfig
 from repro.core.hw_cost import total_bytes
-from repro.harness.experiments import table1_config
+from repro.harness.experiments import run_figure
 
 from conftest import run_and_print
 
 
 def test_table1_configuration(benchmark):
-    result = run_and_print(benchmark, table1_config)
+    result = run_and_print(benchmark, run_figure, "table1")
     rows = dict((k, v) for k, v in result.rows)
     assert rows["ROB size"] == "350"
 

@@ -46,9 +46,11 @@ import sys
 
 from . import jobs
 from .config import ALL_TECHNIQUES, DVR_BREAKDOWN, SimConfig
-from .harness.experiments import ALL_EXPERIMENTS, ExperimentScale
+from .harness.experiments import (FIGURES, ExperimentScale,
+                                   FigureIncomplete, run_figure)
 from .harness.runner import run_workload
-from .workloads import ALL_WORKLOADS, GAP_WORKLOADS, make_workload
+from .workloads import (ALL_WORKLOADS, GAP_WORKLOADS, GRAPH_INPUTS,
+                        build_csr, make_workload)
 
 
 def _scale_from_args(args):
@@ -56,7 +58,7 @@ def _scale_from_args(args):
         scale = ExperimentScale.full()
     else:
         scale = ExperimentScale()
-    if args.graphs:
+    if args.graphs is not None:      # a bare --graphs means hpc-db only
         scale.gap_graphs = tuple(args.graphs)
     if args.instructions:
         scale.max_instructions = args.instructions
@@ -68,43 +70,59 @@ def _scale_from_args(args):
 
 
 def cmd_list(_args):
-    print("experiments:", ", ".join(sorted(ALL_EXPERIMENTS)))
+    print("experiments:", ", ".join(sorted(FIGURES)))
     print("workloads:  ", ", ".join(sorted(ALL_WORKLOADS)))
     print("techniques: ", ", ".join(ALL_TECHNIQUES + DVR_BREAKDOWN[1:3]))
     return 0
 
 
-def _maybe_save(result, args):
-    if not args.out:
-        return
-    payload = {"name": result.name, "headers": result.headers,
-               "rows": result.rows, "notes": result.notes}
-    with open(args.out, "a") as handle:
-        handle.write(json.dumps(payload) + "\n")
-    print(f"[saved {result.name!r} -> {args.out}]")
-
-
-def cmd_experiment(args):
-    experiment = ALL_EXPERIMENTS[args.command]
-    if args.command == "table1":
-        result = experiment()
-    else:
-        result = experiment(_scale_from_args(args))
-    print(result.render())
-    _maybe_save(result, args)
-    return 0
-
-
-def cmd_all(args):
-    scale = _scale_from_args(args)
-    for name in ("table1", "table2", "fig2", "fig7", "fig8", "fig9",
-                 "fig10", "fig11", "fig12"):
-        experiment = ALL_EXPERIMENTS[name]
-        result = experiment() if name == "table1" else experiment(scale)
-        print(result.render())
+def _print_tables(tables, args):
+    """Print each table, then append it to ``--out`` as a JSON line."""
+    for table in tables:
+        print(table.render())
         print()
-        _maybe_save(result, args)
-    return 0
+        if args.out:
+            payload = {"name": table.name, "headers": table.headers,
+                       "rows": table.rows, "notes": table.notes}
+            with open(args.out, "a") as handle:
+                handle.write(json.dumps(payload) + "\n")
+            print(f"[saved {table.name!r} -> {args.out}]")
+
+
+def cmd_figures(args, names):
+    """`repro <figure>`, `all`, `sweep`, `submit`: each figure's table.
+
+    Every figure but the static Table 1 runs its ``specs/<name>.toml``
+    DAG through the configured backend (``run_figure``).  Under
+    --keep-going a figure whose sims gave up is one stderr line; the
+    rest still run and the exit status is 1.
+    """
+    from .specs import SpecError
+    scale = _scale_from_args(args)
+    if len(names) > 1:
+        # Each figure's batch forks a fresh worker pool; building the
+        # graph inputs here once lets every pool inherit them instead
+        # of each worker rebuilding them for every figure.
+        for graph in scale.gap_graphs:
+            if graph in GRAPH_INPUTS:
+                build_csr(GRAPH_INPUTS[graph])
+    status = 0
+    for name in names:
+        try:
+            table = run_figure(name, scale)
+        except FigureIncomplete as error:
+            print(f"[{args.command}] {error}", file=sys.stderr)
+            status = 1
+            continue
+        except SpecError as error:
+            print(f"{args.command}: {error}", file=sys.stderr)
+            return 2
+        _print_tables([table], args)
+    failures = jobs.get_context().failure_report
+    if failures:
+        print(failures.render(), file=sys.stderr)
+        status = 1
+    return status
 
 
 def _print_tier_stats(label, stores):
@@ -203,39 +221,11 @@ def cmd_sweep(args):
         print("sweep needs an experiment name, e.g. `repro sweep fig7 "
               "--backend cluster --workers 2` (or `all`)", file=sys.stderr)
         return 2
-    names = ["table1", "table2", "fig2", "fig7", "fig8", "fig9",
-             "fig10", "fig11", "fig12"] if name == "all" else [name]
-    unknown = [n for n in names if n not in ALL_EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)} "
-              f"(known: {', '.join(sorted(ALL_EXPERIMENTS))})",
-              file=sys.stderr)
+    if name != "all" and name not in FIGURES:
+        print(f"unknown experiment(s): {name} "
+              f"(known: {', '.join(sorted(FIGURES))})", file=sys.stderr)
         return 2
-    scale = _scale_from_args(args)
-    broken = []
-    for experiment_name in names:
-        experiment = ALL_EXPERIMENTS[experiment_name]
-        try:
-            result = (experiment() if experiment_name == "table1"
-                      else experiment(scale))
-        except Exception as error:
-            # --keep-going: an experiment whose jobs exhausted their
-            # retry budget (or whose join choked on the resulting holes)
-            # is reported, and the remaining experiments still run.
-            if not args.keep_going:
-                raise
-            broken.append(experiment_name)
-            print(f"[sweep] {experiment_name} failed: {error}",
-                  file=sys.stderr)
-            continue
-        print(result.render())
-        if len(names) > 1:
-            print()
-        _maybe_save(result, args)
-    failures = jobs.get_context().failure_report
-    if failures:
-        print(failures.render(), file=sys.stderr)
-    return 1 if (broken or failures) else 0
+    return cmd_figures(args, FIGURES if name == "all" else [name])
 
 
 def cmd_chaos(args):
@@ -459,15 +449,10 @@ def cmd_env(args):
             print(runner.render_dry_run())
             return 0
         result = runner.run()
-        for node in dag.analyses:
-            if node.name not in result.tables:
-                continue
-            print(result.tables[node.name].render())
-            print()
-            _maybe_save(result.tables[node.name], args)
-        for skip in result.stats["skipped"]:
-            print(f"[env] skipped analysis {skip['analysis']!r}: "
-                  f"{skip['reason']}", file=sys.stderr)
+        _print_tables([result.tables[node.name] for node in dag.analyses
+                       if node.name in result.tables], args)
+        for message in result.skipped_messages():
+            print(f"[env] {message}", file=sys.stderr)
         return 1 if result.stats["skipped"] else 0
     except SpecError as error:
         print(f"env: {error}", file=sys.stderr)
@@ -506,13 +491,11 @@ def main(argv=None):
         prog="python -m repro",
         description="Decoupled Vector Runahead reproduction harness")
     parser.add_argument("command",
-                        choices=sorted(ALL_EXPERIMENTS) + ["all", "cache",
-                                                           "chaos", "cluster",
-                                                           "env", "jobs",
-                                                           "lint", "list",
-                                                           "report", "run",
-                                                           "serve", "submit",
-                                                           "sweep"])
+                        choices=sorted(FIGURES) + ["all", "cache", "chaos",
+                                                   "cluster", "env", "jobs",
+                                                   "lint", "list", "report",
+                                                   "run", "serve", "submit",
+                                                   "sweep"])
     parser.add_argument("workload", nargs="?",
                         help="workload name (for `run`), cache action "
                              "(for `cache`: stats, clear, prune), cluster "
@@ -673,7 +656,7 @@ def main(argv=None):
         if args.command == "list":
             return cmd_list(args)
         if args.command == "all":
-            return cmd_all(args)
+            return cmd_figures(args, FIGURES)
         if args.command == "cache":
             return cmd_cache(args)
         if args.command == "chaos":
@@ -702,7 +685,7 @@ def main(argv=None):
             if not args.workload:
                 parser.error("`run` needs a workload name")
             return cmd_run(args)
-        return cmd_experiment(args)
+        return cmd_figures(args, [args.command])
     except ClusterError as error:
         # A bind or worker start-up failure is one line, not a traceback.
         print(f"{args.command}: {error}", file=sys.stderr)

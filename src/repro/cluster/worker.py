@@ -153,30 +153,10 @@ class Worker:
             connection = self.injector.wrap_connection(
                 connection, scope=self.worker_id)
         try:
-            authenticate_client(connection, self.secret)
-        except socket.timeout:
-            # A coordinator running *without* a secret never challenges:
-            # it is silently waiting for our HELLO while we wait for its
-            # CHALLENGE.  Surface the config mismatch instead of retrying.
-            raise WorkerRejected(
-                f"no auth challenge within {self.socket_timeout:.0f}s -- "
-                f"a secret is configured here but the coordinator appears "
-                f"to run without one") from None
-        connection.send(HELLO, worker=self.worker_id,
-                        host=socket.gethostname(), pid=os.getpid(),
-                        salt=self._code_salt(), version=PROTOCOL_VERSION)
-        reply = self._recv_bounded(connection)
-        if reply is None:
-            raise ProtocolError("coordinator closed during handshake")
-        if reply.get("type") == REJECT:
-            raise WorkerRejected(reply.get("reason", "no reason given"))
-        if reply.get("type") == CHALLENGE:
-            # We dialed without a secret and the coordinator wants one.
-            raise WorkerRejected(
-                "coordinator requires a shared secret "
-                "(--secret / $REPRO_CLUSTER_SECRET)")
-        if reply.get("type") != WELCOME:
-            raise ProtocolError(f"expected welcome, got {reply.get('type')!r}")
+            self._handshake(connection)
+        except BaseException:
+            connection.close()       # else every refusal or retry leaks it
+            raise
         self._log(f"connected to {self.host}:{self.port}")
         stop = threading.Event()
         beat = threading.Thread(target=self._heartbeat_loop,
@@ -205,6 +185,34 @@ class Worker:
         finally:
             stop.set()
             connection.close()
+
+    def _handshake(self, connection):
+        """Authenticate, then HELLO/WELCOME; raises on any refusal."""
+        try:
+            authenticate_client(connection, self.secret)
+        except socket.timeout:
+            # A coordinator running *without* a secret never challenges:
+            # it is silently waiting for our HELLO while we wait for its
+            # CHALLENGE.  Surface the config mismatch instead of retrying.
+            raise WorkerRejected(
+                f"no auth challenge within {self.socket_timeout:.0f}s -- "
+                f"a secret is configured here but the coordinator appears "
+                f"to run without one") from None
+        connection.send(HELLO, worker=self.worker_id,
+                        host=socket.gethostname(), pid=os.getpid(),
+                        salt=self._code_salt(), version=PROTOCOL_VERSION)
+        reply = self._recv_bounded(connection)
+        if reply is None:
+            raise ProtocolError("coordinator closed during handshake")
+        if reply.get("type") == REJECT:
+            raise WorkerRejected(reply.get("reason", "no reason given"))
+        if reply.get("type") == CHALLENGE:
+            # We dialed without a secret and the coordinator wants one.
+            raise WorkerRejected(
+                "coordinator requires a shared secret "
+                "(--secret / $REPRO_CLUSTER_SECRET)")
+        if reply.get("type") != WELCOME:
+            raise ProtocolError(f"expected welcome, got {reply.get('type')!r}")
 
     def _recv_bounded(self, connection):
         """``recv`` that tolerates idle timeouts but not a dead peer.

@@ -1,35 +1,27 @@
-"""Experiment harness: runner, metrics, figure/table definitions."""
+"""Experiment harness: runner, metrics, the paper's tables and figures."""
 
-from .experiments import (ALL_EXPERIMENTS, ExperimentResult, ExperimentScale,
-                          fig2_rob_sweep, fig7_performance, fig8_breakdown,
-                          fig9_mlp, fig10_accuracy, fig11_timeliness,
-                          fig12_dvr_rob, table1_config, table2_graphs)
+from .experiments import (FIGURES, ExperimentResult, ExperimentScale,
+                          FigureIncomplete, run_figure, table1_config)
 from .metrics import Metrics
 from .report import format_kv, format_table, gmean, hmean
 from .runner import (build_engine, run_built, run_spec, run_techniques,
                      run_workload)
 
 __all__ = [
-    "ALL_EXPERIMENTS",
     "ExperimentResult",
     "ExperimentScale",
+    "FIGURES",
+    "FigureIncomplete",
     "Metrics",
     "build_engine",
-    "fig2_rob_sweep",
-    "fig7_performance",
-    "fig8_breakdown",
-    "fig9_mlp",
-    "fig10_accuracy",
-    "fig11_timeliness",
-    "fig12_dvr_rob",
     "format_kv",
     "format_table",
     "gmean",
     "hmean",
     "run_built",
+    "run_figure",
     "run_spec",
     "run_techniques",
     "run_workload",
     "table1_config",
-    "table2_graphs",
 ]

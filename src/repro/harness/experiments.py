@@ -1,20 +1,18 @@
-"""Experiment definitions: one function per paper table/figure.
+"""The paper's tables and figures, and the scale they run at.
 
-Each ``fig*``/``table*`` function *enumerates* the simulations it needs as
-:class:`~repro.jobs.spec.JobSpec`s, hands the batch to the ``repro.jobs``
-execution engine (process-pool parallelism, disk result cache, JSONL run
-ledger), then joins the returned metrics into a result object whose
-``render()`` gives the same rows/series the paper reports.  The benchmark
-harness (``benchmarks/``) calls these; so can users.
+Table 1 is the static core configuration (:func:`table1_config`).  Every
+other table and figure is a checked-in spec, ``specs/<name>.toml`` at
+the root of the source checkout, and :func:`run_figure` runs it: the
+spec is concretized at an :class:`ExperimentScale` into a DAG whose
+sims go through the ``repro.jobs`` engine (process pool or cluster,
+disk result cache, run ledger) and whose analysis builds the table.
+``repro <figure>``/``all``/``sweep``/``submit`` and ``benchmarks/`` all
+call it.  Content-hashed sims shared between figures (every figure
+re-uses the OoO baseline) are simulated once and served from cache.
 
-Because specs are content-hashed, points shared between figures (every
-figure re-uses the OoO baseline, fig2/fig12 share ROB sweeps) are
-simulated once and served from cache afterwards.
-
-Workload scale is controlled by ``ExperimentScale``: the default "small"
-scale runs the GAP kernels on two inputs and trims the instruction budget
-so a full figure regenerates in minutes on a laptop; "full" runs every
-benchmark-input combination of the paper.
+The default "small" scale runs the GAP kernels on two inputs with a
+trimmed instruction budget, so a figure regenerates in minutes on a
+laptop; "full" runs every benchmark-input combination of the paper.
 """
 
 from __future__ import annotations
@@ -22,16 +20,19 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from ..config import (DVR_BREAKDOWN, SimConfig, TECH_DVR, TECH_IMP, TECH_OOO,
-                      TECH_ORACLE, TECH_PRE, TECH_VR)
-from ..jobs import JobSpec, run_specs
-from ..memsys.cache import SRC_DVR
-from ..memsys.hierarchy import LEVELS
-from ..workloads import GAP_WORKLOADS, GRAPH_INPUTS, HPCDB_WORKLOADS
-from ..workloads.graphs import build_csr
-from .report import format_table, hmean
+from ..config import SimConfig, TECH_OOO
+from ..workloads import GAP_WORKLOADS, GRAPH_INPUTS
+from .report import format_table
 
-ROB_SIZES = (128, 192, 224, 350, 512)
+#: Every table and figure, in paper order; ``repro all`` runs them all.
+FIGURES = ("table1", "table2", "fig2", "fig7", "fig8", "fig9", "fig10",
+           "fig11", "fig12")
+
+#: The figure specs: ``specs/`` at the root of the source checkout, which
+#: an editable install (``pip install -e .``) keeps next to the package.
+SPECS_DIR = os.path.normpath(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, os.pardir,
+    os.pardir, "specs"))
 
 
 @dataclass
@@ -89,31 +90,6 @@ class ExperimentScale:
                 triples.append((name, name, {}))
         return triples
 
-    def spec(self, label, workload, params, technique, rob=None,
-             scale_backend=False):
-        """One JobSpec at this scale's budget/seed."""
-        config = self.config(technique)
-        if rob is not None:
-            config = config.with_rob(rob, scale_backend)
-        return JobSpec(workload=workload, params=params, config=config,
-                       seed=self.seed, label=label)
-
-    def workloads(self, gap_only=False):
-        """(label, factory) pairs for this scale (direct-run API)."""
-        pairs = []
-        for label, name, params in self.entries(gap_only):
-            if name in GAP_WORKLOADS:
-                pairs.append((label, GAP_WORKLOADS[name](**params)))
-            else:
-                pairs.append((label, HPCDB_WORKLOADS[name]()))
-        return pairs
-
-
-def _gather(items):
-    """Run ``[(join_key, JobSpec), ...]`` and map join_key -> Metrics."""
-    metrics = run_specs([spec for _key, spec in items])
-    return {key: m for (key, _spec), m in zip(items, metrics)}
-
 
 class ExperimentResult:
     """Generic container: per-cell values plus a renderer."""
@@ -131,198 +107,6 @@ class ExperimentResult:
         return text
 
 
-# ---------------------------------------------------------------------------
-# Figure 2: OoO & VR vs ROB size, + full-ROB stall time
-# ---------------------------------------------------------------------------
-def fig2_rob_sweep(scale=None, rob_sizes=ROB_SIZES):
-    scale = scale or ExperimentScale.from_env()
-    entries = scale.entries()
-
-    items = [(("base", label), scale.spec(label, name, params, TECH_OOO))
-             for label, name, params in entries]
-    for rob in rob_sizes:
-        for tech in (TECH_OOO, TECH_VR):
-            items.extend(
-                ((rob, tech, label),
-                 scale.spec(label, name, params, tech, rob=rob))
-                for label, name, params in entries)
-    metrics = _gather(items)
-
-    rows = []
-    for rob in rob_sizes:
-        ooo_speedups, vr_speedups, stall = [], [], []
-        for label, _name, _params in entries:
-            base_ipc = metrics[("base", label)].ipc
-            ooo = metrics[(rob, TECH_OOO, label)]
-            vr = metrics[(rob, TECH_VR, label)]
-            ooo_speedups.append(ooo.ipc / base_ipc)
-            vr_speedups.append(vr.ipc / base_ipc)
-            stall.append(ooo.rob_full_fraction)
-        rows.append([rob, hmean(ooo_speedups), hmean(vr_speedups),
-                     100.0 * sum(stall) / len(stall)])
-    return ExperimentResult(
-        "Figure 2: performance vs ROB size (normalized to OoO-350)",
-        ["ROB", "OoO speedup", "VR speedup", "full-ROB stall %"], rows,
-        notes="Paper: VR's gain shrinks as the ROB grows; stall % falls.")
-
-
-# ---------------------------------------------------------------------------
-# Figure 7: per-benchmark speedups of PRE / IMP / VR / DVR / Oracle
-# ---------------------------------------------------------------------------
-FIG7_TECHNIQUES = (TECH_PRE, TECH_IMP, TECH_VR, TECH_DVR, TECH_ORACLE)
-
-
-def _technique_grid(scale, techniques):
-    """Metrics for every (workload, OoO-baseline + techniques) point."""
-    entries = scale.entries()
-    items = []
-    for label, name, params in entries:
-        for tech in (TECH_OOO,) + tuple(techniques):
-            items.append(((label, tech),
-                          scale.spec(label, name, params, tech)))
-    return entries, _gather(items)
-
-
-def _speedup_table(scale, techniques):
-    entries, metrics = _technique_grid(scale, techniques)
-    rows = []
-    per_tech = {tech: [] for tech in techniques}
-    for label, _name, _params in entries:
-        base = metrics[(label, TECH_OOO)]
-        row = [label]
-        for tech in techniques:
-            speedup = metrics[(label, tech)].speedup_over(base)
-            per_tech[tech].append(speedup)
-            row.append(speedup)
-        rows.append(row)
-    rows.append(["H-mean"] + [hmean(per_tech[tech]) for tech in techniques])
-    return rows
-
-
-def fig7_performance(scale=None, techniques=FIG7_TECHNIQUES):
-    scale = scale or ExperimentScale.from_env()
-    rows = _speedup_table(scale, tuple(techniques))
-    return ExperimentResult(
-        "Figure 7: speedup over the baseline OoO core",
-        ["benchmark"] + list(techniques), rows,
-        notes="Paper: DVR 2.4x h-mean (up to 6.4x); VR ~1.2x; PRE ~1x.")
-
-
-# ---------------------------------------------------------------------------
-# Figure 8: DVR performance breakdown (VR / Offload / +Discovery / +Nested)
-# ---------------------------------------------------------------------------
-def fig8_breakdown(scale=None):
-    scale = scale or ExperimentScale.from_env()
-    rows = _speedup_table(scale, DVR_BREAKDOWN)
-    return ExperimentResult(
-        "Figure 8: DVR breakdown (VR -> +Offload -> +Discovery -> +Nested)",
-        ["benchmark"] + list(DVR_BREAKDOWN), rows,
-        notes="Paper: offload alone lifts VR 1.2x -> ~1.5x; full DVR is "
-              "uniformly best.")
-
-
-# ---------------------------------------------------------------------------
-# Figure 9: memory-level parallelism (average MSHRs per cycle)
-# ---------------------------------------------------------------------------
-def fig9_mlp(scale=None):
-    scale = scale or ExperimentScale.from_env()
-    techniques = (TECH_OOO, TECH_VR, TECH_DVR)
-    entries, metrics = _technique_grid(scale, techniques[1:])
-    rows = []
-    sums = {tech: [] for tech in techniques}
-    for label, _name, _params in entries:
-        row = [label]
-        for tech in techniques:
-            mlp = metrics[(label, tech)].mlp
-            row.append(mlp)
-            sums[tech].append(mlp)
-        rows.append(row)
-    rows.append(["Mean"] + [sum(sums[t]) / len(sums[t]) for t in techniques])
-    return ExperimentResult(
-        "Figure 9: MLP (MSHRs used per cycle, average)",
-        ["benchmark", "OoO", "VR", "DVR"], rows,
-        notes="Paper: OoO <4 on average; DVR >10.")
-
-
-# ---------------------------------------------------------------------------
-# Figure 10: DRAM accesses, split main thread vs runahead, VR vs DVR
-# ---------------------------------------------------------------------------
-def fig10_accuracy(scale=None):
-    scale = scale or ExperimentScale.from_env()
-    entries, metrics = _technique_grid(scale, (TECH_VR, TECH_DVR))
-    rows = []
-    for label, _name, _params in entries:
-        base = metrics[(label, TECH_OOO)]
-        base_total = max(1, sum(base.dram_accesses.values()))
-        row = [label]
-        for tech in (TECH_VR, TECH_DVR):
-            main, runahead = metrics[(label, tech)].dram_split()
-            row.extend([main / base_total, runahead / base_total])
-        rows.append(row)
-    return ExperimentResult(
-        "Figure 10: DRAM accesses normalized to baseline OoO",
-        ["benchmark", "VR main", "VR runahead", "DVR main", "DVR runahead"],
-        rows,
-        notes="Paper: VR over-fetches (>2x total in places); DVR stays "
-              "near 1x thanks to Discovery Mode.")
-
-
-# ---------------------------------------------------------------------------
-# Figure 11: timeliness of DVR prefetches
-# ---------------------------------------------------------------------------
-def fig11_timeliness(scale=None):
-    scale = scale or ExperimentScale.from_env()
-    entries = scale.entries()
-    metrics = _gather([(label, scale.spec(label, name, params, TECH_DVR))
-                       for label, name, params in entries])
-    rows = []
-    for label, _name, _params in entries:
-        fractions = metrics[label].timeliness_fractions(SRC_DVR)
-        rows.append([label] + [100.0 * fractions[level] for level in LEVELS])
-    return ExperimentResult(
-        "Figure 11: where the main thread finds DVR-prefetched lines (%)",
-        ["benchmark"] + [f"{level} %" for level in LEVELS], rows,
-        notes="Paper: most prefetched lines are found in the L1-D; a "
-              "consistent 10-20% arrive late (off-chip).")
-
-
-# ---------------------------------------------------------------------------
-# Figure 12: DVR vs ROB size (gain holds up, unlike VR)
-# ---------------------------------------------------------------------------
-def fig12_dvr_rob(scale=None, rob_sizes=ROB_SIZES, scale_backend=False):
-    scale = scale or ExperimentScale.from_env()
-    entries = scale.entries()
-
-    items = [(("base", label), scale.spec(label, name, params, TECH_OOO))
-             for label, name, params in entries]
-    for rob in rob_sizes:
-        for tech in (TECH_OOO, TECH_DVR):
-            items.extend(
-                ((rob, tech, label),
-                 scale.spec(label, name, params, tech, rob=rob,
-                            scale_backend=scale_backend))
-                for label, name, params in entries)
-    metrics = _gather(items)
-
-    rows = []
-    for rob in rob_sizes:
-        ooo_speedups, dvr_speedups = [], []
-        for label, _name, _params in entries:
-            base_ipc = metrics[("base", label)].ipc
-            ooo_speedups.append(metrics[(rob, TECH_OOO, label)].ipc / base_ipc)
-            dvr_speedups.append(metrics[(rob, TECH_DVR, label)].ipc / base_ipc)
-        rows.append([rob, hmean(ooo_speedups), hmean(dvr_speedups),
-                     hmean(dvr_speedups) / max(1e-9, hmean(ooo_speedups))])
-    return ExperimentResult(
-        "Figure 12: DVR vs ROB size (normalized to OoO-350)",
-        ["ROB", "OoO speedup", "DVR speedup", "DVR/OoO"], rows,
-        notes="Paper: DVR's relative gain *grows* with ROB size "
-              "(1.9x at 128 to 2.5x at 512), unlike VR in Fig 2.")
-
-
-# ---------------------------------------------------------------------------
-# Table 1 and Table 2
-# ---------------------------------------------------------------------------
 def table1_config():
     from ..config import table1_rows
     rows = [[k, v] for k, v in table1_rows()]
@@ -330,43 +114,30 @@ def table1_config():
                             ["parameter", "value"], rows)
 
 
-def table2_graphs(scale=None):
-    """Graph inputs + measured LLC MPKI aggregated over the GAP kernels."""
-    scale = scale or ExperimentScale.from_env()
-    items = [((graph, kernel),
-              scale.spec(f"{kernel}_{graph}", kernel, {"graph": graph},
-                         TECH_OOO))
-             for graph in GRAPH_INPUTS
-             for kernel in GAP_WORKLOADS]
-    metrics = _gather(items)
-
-    rows = []
-    for name, spec in GRAPH_INPUTS.items():
-        offsets, neighbors = build_csr(spec, seed=scale.seed)
-        total_dram = 0
-        total_instr = 0
-        for kernel in GAP_WORKLOADS:
-            point = metrics[(name, kernel)]
-            total_dram += sum(point.dram_accesses.values())
-            total_instr += point.committed
-        mpki = 1000.0 * total_dram / max(1, total_instr)
-        rows.append([name, (len(offsets) - 1) / 1e6, len(neighbors) / 1e6,
-                     mpki])
-    return ExperimentResult(
-        "Table 2: graph inputs (scaled) + measured LLC MPKI over GAP",
-        ["input", "nodes (M)", "edges (M)", "LLC MPKI"], rows,
-        notes="Paper (full-scale): KR 134.2M/2111.6M/19, LJN 4.8/69/21, "
-              "ORK 3.1/1930/18, TW 61.6/1468/61, UR 134.2/2147.4/32.")
+class FigureIncomplete(RuntimeError):
+    """A figure's table was skipped: simulations it needs gave up."""
 
 
-ALL_EXPERIMENTS = {
-    "table1": table1_config,
-    "table2": table2_graphs,
-    "fig2": fig2_rob_sweep,
-    "fig7": fig7_performance,
-    "fig8": fig8_breakdown,
-    "fig9": fig9_mlp,
-    "fig10": fig10_accuracy,
-    "fig11": fig11_timeliness,
-    "fig12": fig12_dvr_rob,
-}
+def run_figure(name, scale=None):
+    """One table/figure of ``FIGURES`` as an :class:`ExperimentResult`.
+
+    Runs ``specs/<name>.toml`` at ``scale`` (default: the environment's)
+    under the process-wide jobs context.  If the context reports jobs
+    that gave up instead of raising (``--keep-going``) and the table
+    lost one, raises :class:`FigureIncomplete`.
+    """
+    from ..specs import SpecError, run_spec_file
+    if name not in FIGURES:
+        raise ValueError(f"unknown figure {name!r} "
+                         f"(known: {', '.join(FIGURES)})")
+    if name == "table1":
+        return table1_config()
+    path = os.path.join(SPECS_DIR, f"{name}.toml")
+    if not os.path.isfile(path):
+        raise SpecError(f"no figure spec at {path}: figure commands read "
+                        f"specs/ from a source checkout (pip install -e .)")
+    result = run_spec_file(path, scale=scale or ExperimentScale.from_env())
+    if result.stats["skipped"]:
+        raise FigureIncomplete(
+            f"{name}: {'; '.join(result.skipped_messages())}")
+    return result.tables["table"]

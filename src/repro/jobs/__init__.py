@@ -5,8 +5,8 @@ techniques x ROB sizes); this package turns each point into a content-
 addressed :class:`JobSpec`, executes batches of them on a process pool,
 caches results on disk keyed by spec hash + code version (optionally
 stacked over a shared store), and logs every job to a JSONL run ledger.
-The figure code in :mod:`repro.harness.experiments` only *enumerates*
-specs and joins the returned metrics.
+A figure's spec DAG (:mod:`repro.specs`) only *enumerates* specs and
+runs analyses over the returned metrics.
 """
 
 from .cache import (CacheStack, NullCache, ResultCache, code_salt,

@@ -220,9 +220,11 @@ class ServeDaemon:
                 self._log(f"session {session.session_id} silent for "
                           f"{self.session_timeout:.0f}s; disconnecting")
             self._dispatch(now)
-            if coordinator.live_workers():
+            # The grace window runs while jobs wait with no live worker:
+            # an empty queue restarts it, so idle time never counts.
+            if coordinator.live_workers() or not len(self.queue):
                 last_live = now
-            elif len(self.queue) and now - last_live > self.worker_grace:
+            elif now - last_live > self.worker_grace:
                 self._fail_all_queued(
                     f"no live workers for {self.worker_grace:.0f}s")
             if now - last_beat >= self.heartbeat_interval:

@@ -17,7 +17,9 @@ The pipeline has four layers, one module each:
   node hash in the :class:`ArtifactStore` (local, over ``--store``).
 
 Checked-in specs live in ``specs/*.toml`` at the repo root; run them
-with ``repro env run --spec specs/fig7.toml``.
+with ``repro env run --spec specs/fig7.toml``.  The paper's figures are
+among them: ``repro fig7`` runs ``specs/fig7.toml`` the same way
+(:func:`repro.harness.run_figure`).
 """
 
 from .artifacts import ArtifactStore

@@ -144,6 +144,7 @@ class GroupResult:
         self.labels = group.labels
         self.techniques = group.techniques
         self.axes = group.axes
+        self.params = {leaf.label: leaf.params for leaf in group.leaves}
         self._group = group
         self._metrics = metrics_by_leaf   # leaf_key -> Metrics
 

@@ -9,7 +9,8 @@ cost-model scheduling and the run ledger.
 Analysis nodes run *in the parent process* as their parents finish:
 each wave's nodes are looked up in the :class:`ArtifactStore` by node
 hash first (a hit re-serves the artifact without recomputing), and
-computed + published on a miss.
+computed + published on a miss.  A ``no_cache`` context (``--no-cache``)
+neither reads nor writes artifacts.
 
 Because sim results are cached by spec key and artifacts by node hash,
 re-running a spec after editing one knob recomputes exactly the
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import json
 
+from ..jobs.cache import NullCache
 from ..jobs.context import get_context, run_specs
 from .artifacts import ArtifactStore
 from .concretize import (CONCRETIZER_VERSION, ConcreteDAG, GroupResult,
@@ -49,6 +51,11 @@ class DagResult:
                            for node in self.dag.analyses
                            if node.name in self.tables)
 
+    def skipped_messages(self):
+        """One line per analysis skipped because upstream sims gave up."""
+        return [f"skipped analysis {skip['analysis']!r}: {skip['reason']}"
+                for skip in self.stats["skipped"]]
+
 
 def _experiment_result(artifact):
     from ..harness.experiments import ExperimentResult
@@ -69,6 +76,7 @@ class DagRunner:
         self.dag = dag
         self.context = context or get_context()
         self.artifacts = (artifacts if artifacts is not None
+                          else NullCache() if self.context.no_cache
                           else ArtifactStore.tiered(self.context.cache_dir,
                                                     self.context.store_dir))
 

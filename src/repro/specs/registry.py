@@ -11,15 +11,14 @@ the analysis's ``needs`` list to either
 
 The return value is a JSON-able artifact dict ``{"title", "headers",
 "rows", "notes"}`` -- exactly the payload an
-:class:`~repro.harness.experiments.ExperimentResult` renders, so spec
-DAGs can reproduce the paper's tables bit-for-bit.  Functions must be
-pure (same inputs -> same artifact): artifacts are cached by node hash
-and re-served across runs.
+:class:`~repro.harness.experiments.ExperimentResult` renders.  Functions
+must be pure (same inputs -> same artifact): artifacts are cached by
+node hash and re-served across runs.
 
-The built-ins mirror the hand-coded figure pipelines in
-:mod:`repro.harness.experiments` operation-for-operation (same float
-arithmetic, same iteration order), which is what makes the
-``specs/fig*.toml`` tables bit-identical to their legacy counterparts.
+The paper's tables (``specs/table2.toml``, ``specs/fig*.toml``) are
+these functions' output, and ``tests/data/golden_figures.json`` pins
+each one bit for bit: a change to their float arithmetic or iteration
+order shows up there as a failed table.
 """
 
 from __future__ import annotations
@@ -27,6 +26,8 @@ from __future__ import annotations
 from itertools import product
 
 from ..harness.report import hmean
+from ..memsys.hierarchy import LEVELS
+from ..workloads.graphs import GRAPH_INPUTS
 
 #: name -> analysis function; the spec loader validates ``fn`` against it.
 ANALYSES = {}
@@ -61,6 +62,13 @@ def _require_args(args, required, fn_name):
             f"{fn_name} needs args {', '.join(repr(k) for k in missing)}")
 
 
+def _artifact(args, rows, title, headers):
+    """The artifact dict; ``args`` may override its title and headers."""
+    return {"title": args.get("title", title),
+            "headers": args.get("headers", headers),
+            "rows": rows, "notes": args.get("notes", "")}
+
+
 # ---------------------------------------------------------------------------
 # speedup_table: fig7/fig8-style per-benchmark speedup columns + H-mean
 # ---------------------------------------------------------------------------
@@ -68,8 +76,8 @@ def _require_args(args, required, fn_name):
 def speedup_table(inputs, args):
     """Per-benchmark speedups of ``columns`` over ``baseline`` + H-mean row.
 
-    Mirrors ``harness.experiments._speedup_table``: one row per workload
-    label, one column per technique, a final harmonic-mean row.
+    One row per workload label, one column per technique, a final
+    harmonic-mean row (Figs 7 and 8).
     """
     _require_args(args, ("columns",), "speedup_table")
     group = _single_group(inputs, "speedup_table")
@@ -86,10 +94,8 @@ def speedup_table(inputs, args):
             row.append(speedup)
         rows.append(row)
     rows.append(["H-mean"] + [hmean(per_tech[tech]) for tech in columns])
-    return {"title": args.get("title", f"speedup over {baseline}"),
-            "headers": args.get("headers", ["benchmark"] + columns),
-            "rows": rows,
-            "notes": args.get("notes", "")}
+    return _artifact(args, rows, f"speedup over {baseline}",
+                     ["benchmark"] + columns)
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +148,8 @@ def rob_sweep(inputs, args):
         elif extra == "ratio":
             row.append(hmean(b_speedups) / max(1e-9, hmean(a_speedups)))
         rows.append(row)
-    return {"title": args.get("title", f"{tech_b} vs ROB size"),
-            "headers": args.get(
-                "headers", ["ROB", f"{tech_a} speedup", f"{tech_b} speedup"]),
-            "rows": rows,
-            "notes": args.get("notes", "")}
+    return _artifact(args, rows, f"{tech_b} vs ROB size",
+                     ["ROB", f"{tech_a} speedup", f"{tech_b} speedup"])
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +205,8 @@ def knob_sweep(inputs, args):
         default_headers = knobs + [f"{t} vs {baseline}" for t in techniques]
     else:
         default_headers = knobs + [f"{t} {metric}" for t in techniques]
-    return {"title": args.get("title", f"{mode} across {', '.join(knobs)}"),
-            "headers": args.get("headers", default_headers),
-            "rows": rows,
-            "notes": args.get("notes", "")}
+    return _artifact(args, rows, f"{mode} across {', '.join(knobs)}",
+                     default_headers)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +225,8 @@ def cpi_breakdown(inputs, args):
             components = list(metrics.cpi_stack)
         rows.append([label] + [metrics.cpi_stack.get(component, 0.0)
                                for component in components])
-    return {"title": args.get("title", f"CPI breakdown ({technique})"),
-            "headers": args.get("headers",
-                                ["benchmark"] + list(components or [])),
-            "rows": rows,
-            "notes": args.get("notes", "")}
+    return _artifact(args, rows, f"CPI breakdown ({technique})",
+                     ["benchmark"] + list(components or []))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +248,82 @@ def mlp_table(inputs, args):
         rows.append(row)
     rows.append(["Mean"] + [sum(sums[t]) / len(sums[t])
                             for t in techniques])
-    return {"title": args.get("title", "MLP (MSHRs used per cycle, average)"),
-            "headers": args.get("headers", ["benchmark"] + techniques),
-            "rows": rows,
-            "notes": args.get("notes", "")}
+    return _artifact(args, rows, "MLP (MSHRs used per cycle, average)",
+                     ["benchmark"] + techniques)
+
+
+# ---------------------------------------------------------------------------
+# dram_table: fig10-style DRAM accesses, main thread vs runahead
+# ---------------------------------------------------------------------------
+@analysis("dram_table")
+def dram_table(inputs, args):
+    """Per technique, main-thread and runahead DRAM accesses
+    (``Metrics.dram_split``) over the baseline's total on that workload."""
+    _require_args(args, ("techniques",), "dram_table")
+    group = _single_group(inputs, "dram_table")
+    baseline = args.get("baseline", "ooo")
+    techniques = list(args["techniques"])
+    rows = []
+    for label in group.labels:
+        base = group.metrics(label, baseline)
+        base_total = max(1, sum(base.dram_accesses.values()))
+        row = [label]
+        for tech in techniques:
+            main, runahead = group.metrics(label, tech).dram_split()
+            row.extend([main / base_total, runahead / base_total])
+        rows.append(row)
+    return _artifact(args, rows, f"DRAM accesses normalized to {baseline}",
+                     ["benchmark"] + [f"{tech} {part}" for tech in techniques
+                                      for part in ("main", "runahead")])
+
+
+# ---------------------------------------------------------------------------
+# timeliness_table: fig11-style level where prefetched lines were found
+# ---------------------------------------------------------------------------
+@analysis("timeliness_table")
+def timeliness_table(inputs, args):
+    """Per benchmark, the % of ``source``-prefetched lines the main thread
+    found at each cache level, for ``technique`` (default: the first)."""
+    group = _single_group(inputs, "timeliness_table")
+    technique = args.get("technique", group.techniques[0])
+    source = args.get("source", technique)
+    rows = []
+    for label in group.labels:
+        fractions = group.metrics(label, technique).timeliness_fractions(
+            source)
+        rows.append([label] + [100.0 * fractions[level] for level in LEVELS])
+    return _artifact(args, rows, f"where {source} prefetches are found",
+                     ["benchmark"] + [f"{level} %" for level in LEVELS])
+
+
+# ---------------------------------------------------------------------------
+# graph_table: table2-style graph sizes + LLC MPKI over the kernels
+# ---------------------------------------------------------------------------
+@analysis("graph_table")
+def graph_table(inputs, args):
+    """Per ``graph`` param of the group's workloads: the input's nodes and
+    edges in millions (from its ``GraphSpec``, which gives the lengths
+    ``build_csr`` returns) and the LLC MPKI summed over its kernels."""
+    group = _single_group(inputs, "graph_table")
+    technique = args.get("technique", group.techniques[0])
+    by_graph = {}
+    for label in group.labels:
+        graph = group.params[label].get("graph")
+        if graph not in GRAPH_INPUTS:
+            raise AnalysisInputError(
+                f"graph_table: {label!r} has no known graph param")
+        by_graph.setdefault(graph, []).append(label)
+    rows = []
+    for graph, labels in by_graph.items():
+        spec = GRAPH_INPUTS[graph]
+        total_dram = 0
+        total_instr = 0
+        for label in labels:
+            point = group.metrics(label, technique)
+            total_dram += sum(point.dram_accesses.values())
+            total_instr += point.committed
+        mpki = 1000.0 * total_dram / max(1, total_instr)
+        rows.append([graph, spec.num_nodes / 1e6, spec.num_edges / 1e6,
+                     mpki])
+    return _artifact(args, rows, "graph inputs + LLC MPKI",
+                     ["input", "nodes (M)", "edges (M)", "LLC MPKI"])

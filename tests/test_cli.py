@@ -67,6 +67,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "MSHRs" in out
 
+    def test_bare_graphs_flag_means_hpcdb_only(self, capsys, tmp_path):
+        """``--graphs`` with no names drops every GAP kernel x graph."""
+        from repro.harness.experiments import ExperimentScale
+        from repro.jobs.ledger import RunLedger
+        cache_dir = str(tmp_path / "cache")
+        assert main(["fig9", "--graphs", "--instructions", "300",
+                     "--cache-dir", cache_dir]) == 0
+        labels = [line.split()[0] for line in
+                  capsys.readouterr().out.splitlines()[3:-2]]
+        hpcdb = list(ExperimentScale().hpcdb)
+        assert labels == hpcdb + ["Mean"]
+        sims = [row for row in RunLedger.read(
+            os.path.join(cache_dir, "runs.jsonl")) if "key" in row]
+        assert len(sims) == len(hpcdb) * 3       # ooo, vr, dvr
+
 
 class TestJobsFlags:
     def test_fig11_parallel_matches_serial(self, capsys, tiny_graph):
@@ -92,10 +107,11 @@ class TestJobsFlags:
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
         assert "cache dir" in out and "entries" in out
-        assert f"artifacts     {artifacts.salt} (current): 1 entries" in out
+        # fig11's own table artifact plus the planted one.
+        assert f"artifacts     {artifacts.salt} (current): 2 entries" in out
         assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
-        assert "removed" in out and "and 1 artifact(s)" in out
+        assert "removed" in out and "and 2 artifact(s)" in out
         assert not artifacts.contains("a1" * 12)
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
@@ -166,6 +182,69 @@ class TestSweepCommand:
                      "--workers", "2", "--cache-dir",
                      str(tmp_path / "b")] + scale) == 0
         assert capsys.readouterr().out == local
+
+    def test_multi_figure_run_builds_graph_inputs_first(self, capsys,
+                                                        monkeypatch):
+        """Every figure forks its own worker pool, so `all`/`sweep all`
+        build the GAP inputs once in the parent for the pools to inherit;
+        one figure leaves them to its workers."""
+        import repro.__main__ as cli
+        from repro.harness.experiments import table1_config
+        events = []
+        monkeypatch.setattr(cli, "build_csr",
+                            lambda graph: events.append(graph.name))
+        monkeypatch.setattr(cli, "run_figure", lambda name, scale: (
+            events.append(name) or table1_config()))
+        assert main(["sweep", "all", "--graphs", "KR", "UR"]) == 0
+        assert events == ["KR", "UR"] + list(cli.FIGURES)
+        events.clear()
+        assert main(["fig7", "--graphs", "KR"]) == 0
+        assert events == ["fig7"]
+
+
+class TestSpecsDirectory:
+    def test_missing_specs_directory_is_one_line(self, capsys, monkeypatch,
+                                                 tmp_path):
+        """Figure commands read specs/ from the checkout; without it
+        (a non-editable install) they say so in one line and exit 2."""
+        import repro.harness.experiments as experiments
+        monkeypatch.setattr(experiments, "SPECS_DIR", str(tmp_path / "nope"))
+        assert main(["fig9", "--graphs", "--instructions", "300",
+                     "--cache-dir", str(tmp_path / "cache")]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("fig9: no figure spec")
+        assert captured.out == ""
+
+
+class TestKeepGoing:
+    def test_figure_whose_sims_gave_up_is_one_line(self, capsys,
+                                                   monkeypatch, tmp_path):
+        """--keep-going: a figure whose sims gave up is named on stderr
+        with its skipped analysis; the other figures still run; exit 1."""
+        import repro.__main__ as cli
+        from repro.harness import runner
+        real_run_spec = runner.run_spec
+
+        def run_spec(spec):
+            if spec.label == "kangaroo" and spec.technique == "vr":
+                raise RuntimeError("injected failure")
+            return real_run_spec(spec)
+
+        monkeypatch.setattr(runner, "run_spec", run_spec)
+        monkeypatch.setattr(cli, "FIGURES", ("fig9", "fig11"))
+        assert main(["sweep", "all", "--keep-going", "--graphs",
+                     "--instructions", "300", "--jobs", "1",
+                     "--cache-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "Figure 9" not in captured.out
+        assert "Figure 11" in captured.out     # kangaroo/dvr ran fine
+        figure_lines = [line for line in captured.err.splitlines()
+                        if line.startswith("[sweep]")]
+        assert figure_lines == [
+            "[sweep] fig9: skipped analysis 'table': matrix group 'grid' "
+            "is incomplete (upstream failures)"]
+        assert "kangaroo" in captured.err      # the failure report
 
 
 class TestClusterCommand:

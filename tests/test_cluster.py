@@ -593,6 +593,29 @@ class TestAuth:
         assert worker.serve() == 2
         assert secured.coordinator.live_workers() == []
 
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param({"secret": None}, id="no-secret"),
+        pytest.param({"secret": "not-it"}, id="wrong-secret"),
+        pytest.param({"secret": SECRET, "salt": "stale-tree"},
+                     id="stale-salt"),
+    ])
+    def test_refused_handshake_closes_the_socket(self, secured, kwargs):
+        """A worker the daemon refuses closes its socket: the garbage
+        collector finds none left open (each reconnect would add one)."""
+        import gc
+        import warnings
+        worker = Worker(f"127.0.0.1:{secured.port}", reconnect=0,
+                        quiet=True, **kwargs)
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert worker.serve() == 2
+            gc.collect()
+        leaked = [str(w.message) for w in caught
+                  if issubclass(w.category, ResourceWarning)
+                  and f", {secured.port})" in str(w.message)]
+        assert leaked == []
+
     def test_status_query_requires_the_secret(self, secured):
         address = f"127.0.0.1:{secured.port}"
         with pytest.raises(AuthenticationError):

@@ -164,13 +164,13 @@ class TestReport:
 class TestExperimentScale:
     def test_default_scale_small(self):
         scale = ExperimentScale()
-        labels = [label for label, _ in scale.workloads()]
+        labels = [label for label, _name, _params in scale.entries()]
         assert "bfs_KR" in labels and "bfs_UR" in labels
         assert "camel" in labels
 
     def test_full_scale_covers_all_graphs(self):
         scale = ExperimentScale.full()
-        labels = [label for label, _ in scale.workloads()]
+        labels = [label for label, _name, _params in scale.entries()]
         assert sum(1 for label in labels if label.startswith("bfs")) == 5
 
     def test_env_selection(self, monkeypatch):

@@ -415,6 +415,28 @@ class TestServeLoopback:
         finally:
             daemon.close()
 
+    def test_idle_daemon_gives_a_late_worker_the_full_grace(self, tmp_path):
+        """Time the daemon sat idle with no workers does not count
+        against the next sweep: a worker that attaches within
+        ``worker_grace`` of the submission runs the job."""
+        daemon = _daemon(tmp_path, store=False, workers=0, worker_grace=1.0)
+        try:
+            time.sleep(1.5)              # idle past the grace, no workers
+
+            def attach():
+                time.sleep(0.3)
+                Worker(f"127.0.0.1:{daemon.coordinator.port}",
+                       worker_id="late", run_job=run_spec).serve()
+
+            threading.Thread(target=attach, daemon=True).start()
+            (metrics,), meta = _run_client(daemon, [_spec()],
+                                           collect_meta=True)
+            assert metrics.cycles > 0
+            assert [info["worker"] for info in meta.values()] == ["late"]
+            assert daemon._stats["jobs_failed"] == 0
+        finally:
+            daemon.close()
+
     def test_stale_salt_client_rejected(self, tmp_path):
         daemon = _daemon(tmp_path, workers=0)
         try:

@@ -1,22 +1,19 @@
-"""DAG execution tests: bit-identity vs the legacy figure pipelines,
-artifact caching, subgraph invalidation, dry runs, ledger provenance.
+"""DAG execution tests: artifact caching, subgraph invalidation, dry
+runs, ledger provenance.  (The figure specs' tables are pinned against
+recorded golden tables in ``tests/test_experiments.py``.)
 
 These run real (tiny) simulations: two hpc-db kernels at a 1.5k-2k
 instruction budget, so a whole figure DAG is a handful of seconds.
 """
 
 import json
-import os
 
 import pytest
 
 import repro.jobs as jobs
-from repro.harness.experiments import (ExperimentScale, fig2_rob_sweep,
-                                       fig7_performance, fig12_dvr_rob)
+from repro.harness.experiments import ExperimentScale
 from repro.jobs.ledger import RunLedger
 from repro.specs import ArtifactStore, DagRunner, concretize, run_spec_file
-
-SPECS_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
 
 
 @pytest.fixture(scope="module")
@@ -54,33 +51,6 @@ def fig7_doc():
     }
 
 
-def assert_tables_equal(spec_table, legacy):
-    assert spec_table.rows == [list(row) for row in legacy.rows]
-    assert spec_table.headers == list(legacy.headers)
-    assert spec_table.name == legacy.name
-    assert spec_table.notes == legacy.notes
-
-
-class TestBitIdentity:
-    def test_fig7_spec_matches_legacy(self, tiny_scale, fresh_context):
-        legacy = fig7_performance(tiny_scale)
-        result = run_spec_file(fig7_doc(), scale=tiny_scale,
-                               context=fresh_context)
-        assert_tables_equal(result.tables["table"], legacy)
-
-    def test_fig2_spec_matches_legacy(self, tiny_scale, fresh_context):
-        legacy = fig2_rob_sweep(tiny_scale)
-        result = run_spec_file(os.path.join(SPECS_DIR, "fig2.toml"),
-                               scale=tiny_scale, context=fresh_context)
-        assert_tables_equal(result.tables["table"], legacy)
-
-    def test_fig12_spec_matches_legacy(self, tiny_scale, fresh_context):
-        legacy = fig12_dvr_rob(tiny_scale)
-        result = run_spec_file(os.path.join(SPECS_DIR, "fig12.toml"),
-                               scale=tiny_scale, context=fresh_context)
-        assert_tables_equal(result.tables["table"], legacy)
-
-
 class TestArtifactCache:
     def test_second_run_serves_artifacts(self, tiny_scale, fresh_context):
         dag = concretize(fig7_doc(), scale=tiny_scale)
@@ -92,6 +62,26 @@ class TestArtifactCache:
         assert second.stats["artifact_hits"] == 1
         assert second.tables["table"].rows == first.tables["table"].rows
         assert second.artifacts == first.artifacts
+
+    def test_no_cache_neither_reads_nor_writes_artifacts(self, tiny_scale,
+                                                         tmp_path):
+        """``--no-cache`` forces fresh analyses as well as fresh sims."""
+        cache_dir = tmp_path / "cache"
+        context = jobs.ExecutionContext(cache_dir=str(cache_dir),
+                                        no_cache=True, store="")
+        dag = concretize({
+            "spec": {"name": "mini"},
+            "matrix": {"name": "grid",
+                       "workloads": [{"workload": "kangaroo"}],
+                       "techniques": ["ooo", "dvr"]},
+            "analysis": {"table": {"fn": "speedup_table", "needs": ["grid"],
+                                   "args": {"columns": ["dvr"]}}},
+        }, scale=tiny_scale)
+        for _ in range(2):
+            result = DagRunner(dag, context=context).run()
+            assert result.stats["analyses_computed"] == 1
+            assert result.stats["artifact_hits"] == 0
+        assert not (cache_dir / "artifacts").exists()
 
     def test_knob_edit_recomputes_only_affected(self, tiny_scale,
                                                 fresh_context):
