@@ -2,14 +2,19 @@
 
     python3 .github/perf_ab.py PARENT_TREE CHANGE_TREE
 
-Runs perfbench's sim-long and fig7-cold workloads in both trees, three
+Runs perfbench's sim-long and fig7-cold workloads in both trees, ten
 pairs per workload, alternating which tree runs first in each pair, so
-that host speed and its drift fall on both sides alike.  Exits 1 when a
-run printed no JSON result line, when a run's golden check did not
-report ``"correct": true``, or when the change's median ``run_s`` or
-``sim_kips`` is worse than the parent's by more than that metric's
-bound.  The bounds and their directions come from the parent tree's
-BENCHMARK.json, so a change cannot loosen its own gate.
+that host speed and its drift fall on both sides alike.  Ten pairs, not
+three: on a shared 2-vCPU host the quartile spread of one tree's runs
+is about 13% of their median, so with three pairs two slow runs on one
+side can push an unchanged tree past a 25% bound or hide a 30%
+slowdown.  The forty runs take about nine minutes.
+
+Exits 1 when a run printed no JSON result line, when a run's golden
+check did not report ``"correct": true``, or when the change's median
+``run_s`` or ``sim_kips`` is worse than the parent's by more than that
+metric's bound.  The bounds and their directions come from the parent
+tree's BENCHMARK.json, so a change cannot loosen its own gate.
 
 Standard library only; each tree's perfbench imports that tree's
 ``src/`` itself.
@@ -25,7 +30,7 @@ import sys
 
 WORKLOADS = ("sim-long", "fig7-cold")
 METRICS = ("run_s", "sim_kips")
-PAIRS = 3
+PAIRS = 10
 SEED = 12345
 SECONDS = 20
 

@@ -18,11 +18,10 @@ Usage::
     python -m repro sweep fig7 --backend cluster --workers 4
     python -m repro sweep fig7 --resume --keep-going
     python -m repro cluster worker --connect 10.0.0.5:7077 --secret S
-    python -m repro cluster status --connect 10.0.0.5:7077
     python -m repro serve --bind 0.0.0.0:7077 --workers 4 \
         --tls-cert serve.crt --tls-key serve.key --store /mnt/repro-store
     python -m repro submit fig7 --connect 10.0.0.5:7077 --tls-ca serve.crt
-    python -m repro jobs --connect 10.0.0.5:7077 --tls-ca serve.crt
+    python -m repro cluster status --connect 10.0.0.5:7077 --tls-ca serve.crt
     python -m repro chaos --seed 7         # fault-injection matrix
     python -m repro report --from-ledger ~/.cache/repro/runs.jsonl
     python -m repro env show --spec specs/fig7.toml
@@ -252,22 +251,22 @@ def _client_tls(args):
     return TLSConfig.from_args(args, server_side=False)
 
 
-def _query_endpoint(args, label="coordinator", command="cluster status"):
-    """STATUS-query a coordinator/daemon; returns info dict or None."""
+def _query_endpoint(args):
+    """STATUS-query a daemon; returns its info dict or None."""
     from .cluster import AuthenticationError, ProtocolError, query_status
     try:
         return query_status(args.connect, secret=args.secret or None,
                             tls=_client_tls(args))
     except AuthenticationError as error:
-        print(f"{command}: {error}", file=sys.stderr)
+        print(f"cluster status: {error}", file=sys.stderr)
     except (OSError, ProtocolError) as error:
-        print(f"cannot reach {label} at {args.connect}: {error}",
+        print(f"cannot reach coordinator at {args.connect}: {error}",
               file=sys.stderr)
     return None
 
 
 def _print_daemon_status(daemon):
-    """The serve-daemon section of `cluster status` / `jobs` output."""
+    """The daemon section of `cluster status` output."""
     print(f"daemon       up {daemon.get('uptime_s', 0.0):,.0f}s, protocol "
           f"v{daemon.get('protocol')}, "
           f"tls {'on' if daemon.get('tls') else 'off'}")
@@ -299,7 +298,7 @@ def _print_daemon_status(daemon):
 
 
 def cmd_cluster(args):
-    """`repro cluster {worker,status}`: join or inspect a coordinator."""
+    """`repro cluster {worker,status}`: join or inspect a daemon."""
     action = args.workload
     if action == "worker":
         if not args.connect:
@@ -376,20 +375,6 @@ def cmd_submit(args):
               "daemon)", file=sys.stderr)
         return 2
     return cmd_sweep(args)
-
-
-def cmd_jobs(args):
-    """`repro jobs`: a serve daemon's live queue, session by session."""
-    if not args.connect:
-        print("jobs needs --connect HOST:PORT (a running `repro serve` "
-              "daemon)", file=sys.stderr)
-        return 2
-    info = _query_endpoint(args, label="daemon", command="jobs")
-    if info is None:
-        return 1
-    print(f"daemon       {info.get('address', args.connect)}")
-    _print_daemon_status(info.get("daemon", {}))
-    return 0
 
 
 def cmd_report(args):
@@ -492,9 +477,9 @@ def main(argv=None):
         description="Decoupled Vector Runahead reproduction harness")
     parser.add_argument("command",
                         choices=sorted(FIGURES) + ["all", "cache", "chaos",
-                                                   "cluster", "env", "jobs",
-                                                   "lint", "list", "report",
-                                                   "run", "serve", "submit",
+                                                   "cluster", "env", "lint",
+                                                   "list", "report", "run",
+                                                   "serve", "submit",
                                                    "sweep"])
     parser.add_argument("workload", nargs="?",
                         help="workload name (for `run`), cache action "
@@ -505,9 +490,16 @@ def main(argv=None):
                              "a path to lint (for `lint`)")
     parser.add_argument("--technique", default="dvr",
                         choices=ALL_TECHNIQUES + DVR_BREAKDOWN[1:3])
-    parser.add_argument("--graph", default=None)
-    parser.add_argument("--graphs", nargs="*", default=None,
-                        help="GAP graph inputs for experiments")
+    # Computed here, not at import: tests register extra graph inputs.
+    graphs = sorted(GRAPH_INPUTS)
+    parser.add_argument("--graph", default=None, choices=graphs,
+                        metavar="NAME",
+                        help=f"GAP graph input for `run` "
+                             f"({', '.join(graphs)}; default KR)")
+    parser.add_argument("--graphs", nargs="*", default=None, choices=graphs,
+                        metavar="NAME",
+                        help="GAP graph inputs for experiments (a bare "
+                             "--graphs means hpc-db only)")
     parser.add_argument("--instructions", type=int, default=None)
     parser.add_argument("--scale", choices=("small", "full"),
                         default="small")
@@ -572,8 +564,8 @@ def main(argv=None):
                         help="cluster backend / serve daemon: bind address "
                              "(port 0 = ephemeral)")
     parser.add_argument("--connect", default=None, metavar="HOST:PORT",
-                        help="cluster worker/status, submit, jobs: the "
-                             "coordinator/daemon address")
+                        help="cluster worker/status, submit: the daemon "
+                             "address")
     parser.add_argument("--secret", default=None, metavar="SECRET",
                         help="cluster/serve shared handshake secret "
                              "(default: $REPRO_CLUSTER_SECRET; "
@@ -585,9 +577,7 @@ def main(argv=None):
                         help="server-side TLS private key")
     parser.add_argument("--tls-ca", default=None, metavar="PEM",
                         help="client side: CA file to verify the server "
-                             "certificate against (default: $REPRO_TLS_CA); "
-                             "on the server, demands client certificates "
-                             "(mutual TLS)")
+                             "certificate against (default: $REPRO_TLS_CA)")
     parser.add_argument("--tls-fingerprint", default=None, metavar="SHA256",
                         help="client side: pin the server certificate's "
                              "sha256 fingerprint instead of a CA file "
@@ -665,8 +655,6 @@ def main(argv=None):
             return cmd_cluster(args)
         if args.command == "env":
             return cmd_env(args)
-        if args.command == "jobs":
-            return cmd_jobs(args)
         if args.command == "serve":
             try:
                 return cmd_serve(args)

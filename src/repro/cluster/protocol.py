@@ -91,6 +91,10 @@ class AuthenticationError(ProtocolError):
     """Handshake authentication failed (missing or wrong shared secret)."""
 
 
+class ClusterError(RuntimeError):
+    """Fleet-level failure (no workers, bad bind, handshake trouble)."""
+
+
 _ENV_SECRET = "REPRO_CLUSTER_SECRET"
 
 

@@ -12,20 +12,21 @@ Two trust models, because sweep fleets rarely have a real PKI:
 * **CA verification** (``--tls-ca``): the client loads the CA (usually
   the server's own self-signed certificate) and the ``ssl`` module
   verifies the chain.  Hostname checking is deliberately off -- fleets
-  dial coordinators by IP and the certificate subject is not part of
+  dial daemons by IP and the certificate subject is not part of
   the trust decision; the CA file is.
 * **Fingerprint pinning** (``--tls-fingerprint``): no CA file to
   distribute -- the client accepts any certificate during the TLS
   handshake, then compares the SHA-256 of the peer's DER certificate
   against the pinned value with a constant-time compare and aborts on
   mismatch.  This is how spawned loopback workers trust their parent
-  coordinator: the coordinator exports its own fingerprint through the
-  child environment, never a file.
+  daemon: the daemon exports its own fingerprint through the child
+  environment, never a file.
 
-Server side always needs ``--tls-cert`` + ``--tls-key``.  A server
-configured with a CA additionally *requires* client certificates
-(mutual TLS); without one, any client that trusts the server may
-connect -- the HMAC secret remains the client-auth gate.
+Server side needs ``--tls-cert`` + ``--tls-key`` and nothing else: TLS
+authenticates the server and encrypts the link, and any client that
+trusts the server may connect -- the HMAC secret is the client-auth
+gate.  Clients present no certificate, so a server-side ``--tls-ca`` is
+refused rather than demanding one no client could offer.
 """
 
 from __future__ import annotations
@@ -87,9 +88,8 @@ class TLSConfig:
 
     # ------------------------------------------------------------------
     @classmethod
-    def server(cls, certfile, keyfile, cafile=None):
-        return cls(server_side=True, certfile=certfile, keyfile=keyfile,
-                   cafile=cafile)
+    def server(cls, certfile, keyfile):
+        return cls(server_side=True, certfile=certfile, keyfile=keyfile)
 
     @classmethod
     def client(cls, cafile=None, fingerprint=None):
@@ -100,7 +100,7 @@ class TLSConfig:
         """Client config from ``$REPRO_TLS_CA`` / ``$REPRO_TLS_FINGERPRINT``.
 
         ``None`` when neither is set -- the no-TLS default.  This is how
-        spawned loopback workers inherit the coordinator's transport.
+        spawned loopback workers inherit the daemon's transport.
         """
         cafile = os.environ.get(_ENV_CA) or None
         fingerprint = os.environ.get(_ENV_FINGERPRINT) or None
@@ -112,7 +112,8 @@ class TLSConfig:
     def from_args(cls, args, *, server_side):
         """CLI plumbing: a config from ``--tls-*`` flags, or ``None``.
 
-        Server side activates on ``--tls-cert``; client side on
+        Server side activates on ``--tls-cert`` and refuses ``--tls-ca``
+        (clients present no certificate to verify); client side on
         ``--tls-ca`` / ``--tls-fingerprint``, falling back to the
         environment so worker subprocesses need no extra flags.
         """
@@ -121,9 +122,13 @@ class TLSConfig:
         ca = getattr(args, "tls_ca", None)
         pin = getattr(args, "tls_fingerprint", None)
         if server_side:
+            if ca:
+                raise TLSConfigError(
+                    "--tls-ca is client-side only: clients present no "
+                    "certificate, so a server cannot demand one")
             if not cert and not key:
                 return None
-            return cls.server(cert, key, cafile=ca)
+            return cls.server(cert, key)
         if not ca and not pin:
             return cls.from_env()
         return cls.client(cafile=ca, fingerprint=pin)
@@ -139,10 +144,6 @@ class TLSConfig:
         if self.server_side:
             context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
             context.load_cert_chain(self.certfile, self.keyfile)
-            if self.cafile:
-                # Mutual TLS: demand a client certificate we can verify.
-                context.load_verify_locations(self.cafile)
-                context.verify_mode = ssl.CERT_REQUIRED
             return context
         context = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
         # Fleets dial by IP; the trust anchor is the CA file or the
@@ -155,8 +156,6 @@ class TLSConfig:
             # Pinning: accept the handshake, verify the certificate hash
             # ourselves in wrap() below.
             context.verify_mode = ssl.CERT_NONE
-        if self.certfile:
-            context.load_cert_chain(self.certfile, self.keyfile)
         return context
 
     def wrap(self, sock):

@@ -119,7 +119,6 @@ def run_chaos(seed, cache_dir=None, *, workers=3, count=None, plan=None,
                              retry_base=0.05, retry_cap=0.2, max_attempts=8,
                              worker_grace=30.0, secret=secret)
         daemon.start()
-        coordinator = daemon.coordinator
         address = daemon.address
         stop = threading.Event()
 
@@ -146,18 +145,18 @@ def run_chaos(seed, cache_dir=None, *, workers=3, count=None, plan=None,
                                     daemon=True) for i in range(workers)]
         for thread in threads:
             thread.start()
-        coordinator.wait_for_workers(workers, timeout=30)
+        daemon.wait_for_workers(workers, timeout=30)
 
         # Hostile dialers must bounce off the handshake, not join.
         stale = Worker(address, salt="stale-tree",
                        **{**worker_kwargs("stale-w"), "injector": None})
         stale_rejected = stale.serve() == 2 and not any(
-            w.label == "stale-w" for w in coordinator.live_workers())
+            w.label == "stale-w" for w in daemon.live_workers())
         bad_secret = Worker(address, **{**worker_kwargs("intruder-w"),
                                         "secret": secret + "-wrong",
                                         "injector": None})
         intruder_rejected = bad_secret.serve() == 2 and not any(
-            w.label == "intruder-w" for w in coordinator.live_workers())
+            w.label == "intruder-w" for w in daemon.live_workers())
         log(f"handshake: stale-salt rejected={stale_rejected}, "
             f"wrong-secret rejected={intruder_rejected}")
 

@@ -128,13 +128,11 @@ class ExecutionContext:
         daemon = self._daemon = ServeDaemon(
             host=host, port=port, tls=tls, job_timeout=self.timeout,
             **kwargs)
-        daemon.start()
         workers = int(self.cluster_options.get("workers", 0))
+        daemon.start(workers=workers)
         if workers:
-            daemon.coordinator.spawn_local_workers(workers)
             print(f"[cluster] coordinator on {daemon.address}, "
                   f"spawned {workers} loopback worker(s)", file=sys.stderr)
-            daemon.coordinator.wait_for_workers(1)
         else:
             print(f"[cluster] coordinator on {daemon.address}, "
                   f"waiting for workers (`repro cluster worker "
@@ -142,8 +140,7 @@ class ExecutionContext:
         # The client pins our own certificate, as spawned workers do.
         client_tls = (TLSConfig.client(fingerprint=tls.own_fingerprint())
                       if tls is not None else False)
-        return daemon.address, {"secret": daemon.coordinator.secret,
-                                "tls": client_tls}
+        return daemon.address, {"secret": daemon.secret, "tls": client_tls}
 
     def close(self):
         """Release cluster/serve resources (no-op for the local backend)."""

@@ -136,14 +136,13 @@ class Executor:
     """Run JobSpecs: dedup -> cache -> (pool | serial) -> ledger."""
 
     def __init__(self, jobs=1, cache=None, ledger=None, timeout=None,
-                 progress=None, cost_model=None, on_failure="raise",
-                 resume_index=None, failure_report=None):
+                 progress=None, on_failure="raise", resume_index=None,
+                 failure_report=None):
         self.jobs = max(1, int(jobs))
         self.cache = cache if cache is not None else NullCache()
         self.ledger = ledger if ledger is not None else NullLedger()
         self.timeout = timeout        # per-job seconds, None = unlimited
         self.progress = progress if progress is not None else ProgressLine()
-        self.cost_model = cost_model  # None = learn from the ledger lazily
         if on_failure not in ("raise", "report"):
             raise ValueError(f"on_failure must be 'raise' or 'report', "
                              f"got {on_failure!r}")
@@ -222,23 +221,11 @@ class Executor:
 
     # ------------------------------------------------------------------
     def _run_pending(self, pending, unique, results, cached):
-        """Execute the cache misses (backend hook point)."""
+        """Execute the cache misses, in input order (backend hook point)."""
         if self.jobs == 1 or len(pending) == 1:
             self._run_serial(pending, unique, results, cached)
         else:
-            self._run_pool(self._schedule(pending), unique, results, cached)
-
-    def _schedule(self, pending):
-        """Longest-expected-first order, learned from the run ledger.
-
-        Minimizes tail latency whenever jobs run concurrently (process
-        pool or cluster): the slowest points start first instead of
-        straggling at the end of the sweep.
-        """
-        from ..cluster.scheduler import cost_model_for, longest_first
-        if self.cost_model is None:
-            self.cost_model = cost_model_for(self.ledger)
-        return longest_first(pending, self.cost_model)
+            self._run_pool(pending, unique, results, cached)
 
     def _finish_job(self, spec, metrics, unique, results, cached, *,
                     wall_s, worker, status, retries=0, disposition=None):
@@ -246,8 +233,8 @@ class Executor:
 
         ``disposition`` overrides the ledger's cache column: remote
         backends pass ``"hit"`` for results a daemon served from its
-        shared store, so the cost model never learns a zero-second
-        rate from them.  ``None`` means this process ran the job.
+        shared store, which no worker simulated for this sweep.
+        ``None`` means this process ran the job.
         """
         self.cache.put(spec, metrics)
         results[spec.key] = metrics

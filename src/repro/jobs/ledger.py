@@ -56,11 +56,9 @@ class RunLedger:
             "status": status,          # "ok" | "retried" | "failed"
             # Lease/crash retries this result took (0 = first attempt).
             "retries": retries,
-            # Cost-model features: the scheduler learns seconds-per-
-            # instruction per (workload, graph, technique) from these.
+            # Which configuration ran: `--resume` replays a completed
+            # record only while its spec's config digest still matches.
             "config_digest": spec.config_digest,
-            "max_instructions": getattr(spec.config, "max_instructions",
-                                        None),
             # Analysis provenance: whether the run had the runtime
             # sanitizer enabled, and which rule catalogue vetted the
             # tree -- results from a pre-sanitizer tree stay
@@ -85,7 +83,7 @@ class RunLedger:
 
         Meta records carry ``{"meta": kind}`` and deliberately no
         ``key``/``cache``/``status`` fields, so every job-record consumer
-        (cost model, ledger reports, resume) skips them structurally.
+        (ledger reports, resume) skips them structurally.
         """
         entry = {"meta": kind, "ts": time.time()}
         entry.update(payload)

@@ -57,7 +57,7 @@ class JobSpec:
     #: identity.
     key: str = field(init=False, repr=False, compare=False)
     #: Stable hash of the config alone (``config_digest(config)``): the
-    #: cost model's feature key and the ``--resume`` config check.
+    #: ``--resume`` config check.
     config_digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -14,8 +14,8 @@ shared code paths, so a daemon-served sweep is bit-identical to a local
 one.  It is the executor of both remote backends: ``--backend serve``
 dials a running daemon, ``--backend cluster`` one started in the sweep
 process.  Results the daemon pulled from its shared store arrive flagged
-``cached`` and are recorded as ledger hits (worker ``"store"``) so they
-can never teach the cost model a zero-second rate.
+``cached`` and are recorded as ledger hits (worker ``"store"``): no
+worker simulated them for this sweep.
 """
 
 from __future__ import annotations
@@ -204,11 +204,11 @@ class ServeExecutor(Executor):
     """Run JobSpecs: dedup -> local cache -> serve daemon -> ledger."""
 
     def __init__(self, client, cache=None, ledger=None, timeout=None,
-                 progress=None, cost_model=None, on_failure="raise",
-                 resume_index=None, failure_report=None):
+                 progress=None, on_failure="raise", resume_index=None,
+                 failure_report=None):
         super().__init__(jobs=1, cache=cache, ledger=ledger, timeout=timeout,
-                         progress=progress, cost_model=cost_model,
-                         on_failure=on_failure, resume_index=resume_index,
+                         progress=progress, on_failure=on_failure,
+                         resume_index=resume_index,
                          failure_report=failure_report)
         self.client = client
 
@@ -216,15 +216,14 @@ class ServeExecutor(Executor):
         def finish(spec, metrics, *, worker, retries, wall_s,
                    from_store=False):
             # A store-served result warms the local cache but ledgers
-            # as a *hit* so the cost model never learns a zero-second
-            # rate from it.
+            # as a *hit*: no worker simulated it for this sweep.
             self._finish_job(spec, metrics, unique, results, cached,
                              wall_s=wall_s, worker=worker,
                              status="ok" if retries == 0 else "retried",
                              retries=retries,
                              disposition="hit" if from_store else None)
 
-        failed = self.client.run(self._schedule(pending), finish)
+        failed = self.client.run(pending, finish)
         # Last resort, in input order for determinism: one in-parent
         # attempt per given-up job, like the local pool's retry.
         for spec in pending:

@@ -1,86 +1,139 @@
 """`repro serve`: an always-on sweep service over one worker fleet.
 
-A :class:`ServeDaemon` is the one scheduling loop of the sweep stack.
-It embeds a :class:`~repro.cluster.coordinator.Coordinator`, which owns
-the listening socket, the TLS/HMAC handshake, the worker registry and
-the lease steps, and drives it from one scheduler thread.  ``repro
-serve`` runs it as a long-lived service; ``--backend cluster`` runs a
-single-session one inside the sweep process (see
-:class:`repro.jobs.ExecutionContext`).  On top of the coordinator's
-event queue the daemon adds:
+A :class:`ServeDaemon` is the one class that owns a worker fleet and
+the one scheduling loop of the sweep stack: ``repro serve`` runs it as
+a long-lived service, ``--backend cluster`` runs a single-session one
+inside the sweep process (see :class:`repro.jobs.ExecutionContext`).
 
-* **client sessions** -- a dialer whose first frame is ``SESSION``
-  (instead of a worker's ``HELLO``) is handed to the daemon, which
-  checks its protocol version and code salt (a client built from a
-  different tree would submit specs the store would mis-attribute),
-  registers it, and streams results back as they complete;
+It owns the listening socket.  Every dialer is TLS-wrapped (given a
+server TLSConfig) and must pass the shared-secret HMAC gate before its
+first frame is read; that frame says what it is:
+
+* a **worker** (``HELLO``) -- a loopback subprocess from
+  :meth:`ServeDaemon.spawn_local_workers`, or a remote ``repro cluster
+  worker --connect`` -- joins the registry and holds at most one job
+  *lease* at a time;
+* a **client** (``SESSION``) opens a session and streams its sweeps'
+  results back as they complete;
+* a **status query** (``STATUS``) gets one :meth:`ServeDaemon.status`
+  reply.
+
+Workers and clients both offer their protocol version and code salt,
+and one check rejects either kind built from a different source tree:
+a worker could serve, and a client could submit, results the store
+would mis-attribute.  On top of the fleet the daemon adds:
+
 * **concurrent sweep multiplexing** -- every ``SUBMIT`` frame becomes a
   sweep whose jobs enter one :class:`~.fairshare.FairShareQueue`:
-  round-robin across sessions, longest-expected-first within each
-  (learned from the daemon's ledger);
+  round-robin across sessions, submission order within each;
 * **cross-sweep dedup** -- a spec key that is already queued or leased
   is *joined*, not re-run: every watching (session, sweep) receives the
   one result when it lands;
 * **the shared store** -- results are published to a
   :class:`~repro.jobs.cache.ResultCache` on the store directory before
-  they are streamed, so any other coordinator (or this daemon after a
-  restart) serves them as cache hits.
+  they are streamed, so any other daemon (or this one after a restart)
+  serves them as cache hits.
 
-The scheduler carries the whole cluster fault matrix (dead workers
-requeue leases with backoff, stuck jobs expire, stale-salt dialers are
-rejected, ``max_attempts`` and ``worker_grace`` give up) plus the
-client-side rows: a client that disconnects mid-sweep loses only its
-own undelivered results -- its queued jobs are dropped unless another
-session's sweep still wants them, jobs already on a worker finish into
-the store, and every other session's sweep proceeds undisturbed.
+The scheduler carries the whole fault matrix of DESIGN.md (dead or
+silent workers and expired leases requeue with backoff, stale-salt
+dialers are rejected, ``max_attempts`` and ``worker_grace`` give up)
+plus the client-side rows: a client that disconnects mid-sweep loses
+only its own undelivered results -- its queued jobs are dropped unless
+another session's sweep still wants them, jobs already on a worker
+finish into the store, and every other session's sweep proceeds
+undisturbed.
 
 Single-writer discipline: scheduling state (``_interest``,
-``_inflight``) is mutated only on the scheduler thread; reader threads
-just enqueue events, exactly the coordinator's own design.  State that
-*does* cross threads is explicitly synchronized: the ``_stats``
-counters (bumped on reader threads and the scheduler, read by STATUS
-replies) live under the daemon lock, and the session registry and
+``_inflight``, the workers' leases) is mutated only on the scheduler
+thread; the accept and reader threads just put events on ``_events``.
+State that *does* cross threads is explicitly synchronized: the worker
+list and the ``_stats`` counters live under the daemon lock, which is
+never held across a send or another lock, and the session registry and
 fair-share queue are internally locked ``@thread_safe`` containers.
 """
 
 from __future__ import annotations
 
+import os
 import queue as queue_module
+import socket
+import subprocess
 import sys
 import threading
 import time
 
-from ..cluster.coordinator import Coordinator
-from ..cluster.protocol import (GOODBYE, HEARTBEAT, JOB_DONE,
-                                PROTOCOL_VERSION, ProtocolError, REJECT,
-                                SESSION_OK, SUBMIT, SWEEP_ACCEPTED,
-                                SWEEP_DONE)
 from ..analysis.threadsan import make_lock
-from ..cluster.scheduler import cost_model_for, longest_first
+from ..cluster.protocol import (AUTH, CHALLENGE, ClusterError, Connection,
+                                DRAIN, GOODBYE, HEARTBEAT, HELLO, JOB,
+                                JOB_DONE, PROTOCOL_VERSION, ProtocolError,
+                                REJECT, RESULT, SESSION, SESSION_OK, STATUS,
+                                STATUS_REPLY, SUBMIT, SWEEP_ACCEPTED,
+                                SWEEP_DONE, WELCOME, default_secret,
+                                verify_mac)
+from ..cluster.tls import TLS_ENVIRONMENT
 from ..jobs.ledger import NullLedger
 from .fairshare import FairShareQueue, ServeJob
 from .sessions import SessionRegistry, Sweep
 
 
+class WorkerHandle:
+    """Daemon-side state for one connected worker.
+
+    A worker holds at most one lease.  ``jobs`` maps the leased job's key
+    to the job, so a RESULT whose key is not there is recognized as stale
+    and ignored; it never holds more than one entry.  ``deadline`` is the
+    lease expiry: armed by :meth:`ServeDaemon.lease`, cleared by
+    :meth:`ServeDaemon.release` when the result lands.
+    """
+
+    def __init__(self, connection, name, host=None, pid=None):
+        self.connection = connection
+        self.name = name
+        self.host = host
+        self.pid = pid
+        self.last_seen = time.monotonic()
+        self.alive = True
+        self.killing = False         # close() issued, death event pending
+        self.jobs = {}               # job key -> leased job (at most one)
+        self.deadline = None         # monotonic lease expiry, or None
+        self.done = 0
+
+    @property
+    def label(self):
+        return self.name or self.connection.peer
+
+
 class ServeDaemon:
     """Own the fleet; serve sweep submissions from many clients."""
 
+    #: Sentinel: "no secret passed, fall back to $REPRO_CLUSTER_SECRET".
+    _SECRET_FROM_ENV = object()
+
     def __init__(self, host="127.0.0.1", port=0, *, store=None, ledger=None,
-                 secret=Coordinator._SECRET_FROM_ENV, tls=None,
+                 secret=_SECRET_FROM_ENV, tls=None,
                  job_timeout=None, heartbeat_timeout=15.0,
                  session_timeout=30.0, retry_base=0.25, retry_cap=5.0,
                  max_attempts=3, worker_grace=60.0, poll_interval=0.05,
                  heartbeat_interval=2.0, quiet=False):
-        self.coordinator = Coordinator(
-            host=host, port=port, job_timeout=job_timeout,
-            heartbeat_timeout=heartbeat_timeout, secret=secret, tls=tls)
-        self.coordinator.client_handler = self._client_session
-        self.coordinator.status_extra = self._status_extra
+        self.host = host
+        self.port = port
+        # Shared handshake secret: every dialer must answer a CHALLENGE
+        # with HMAC-SHA256(secret, nonce) before any other frame is
+        # processed.  None disables authentication.
+        if secret is ServeDaemon._SECRET_FROM_ENV:
+            secret = default_secret()
+        self.secret = secret or None
+        # Server-side TLSConfig, or None for plaintext.  Accepted sockets
+        # are wrapped before any frame is read, so the HMAC handshake
+        # (and everything after it) runs inside the encrypted channel.
+        self.tls = tls
         #: ResultCache on the store dir (or any get/put cache); None
         #: disables result reuse.
         self.store = store
-        #: Daemon-side ledger: feeds the cost model and audits the fleet.
+        #: Daemon-side ledger: audits every job the fleet ran.
         self.ledger = ledger if ledger is not None else NullLedger()
+        self.job_timeout = job_timeout
+        self.heartbeat_timeout = heartbeat_timeout
         self.session_timeout = max(session_timeout, 3 * heartbeat_interval)
         self.heartbeat_interval = heartbeat_interval
         #: A failed lease is retried after ``retry_base * 2^(attempts-1)``
@@ -97,42 +150,96 @@ class ServeDaemon:
         self.queue = FairShareQueue()
         self._interest = {}          # key -> [(session_id, sweep_id), ...]
         self._inflight = {}          # key -> ServeJob (queued or leased)
-        self._cost_model = None
-        self._cost_model_loaded = False
-        #: Guards _stats: counters are bumped from per-connection reader
-        #: threads and the scheduler, and read by STATUS replies.
+        #: (kind, subject, payload) events from the accept and reader
+        #: threads; the scheduler thread is their one consumer.
+        self._events = queue_module.Queue()
+        #: Guards _workers and _stats: the accept, reader and scheduler
+        #: threads change them, and STATUS replies read them.
         self._lock = make_lock("ServeDaemon._lock")
+        self._workers = []
         self._stats = {"jobs_done": 0, "jobs_failed": 0, "store_hits": 0,
                        "sweeps_done": 0, "sessions_served": 0}
+        self._spawned = []
+        self._server = None
+        self._accept_thread = None
+        self._scheduler = None
         self._started_at = None
         self._closing = False
         self._stopped = threading.Event()
-        self._scheduler = None
 
     # -- lifecycle -----------------------------------------------------
     @property
     def address(self):
-        return self.coordinator.address
+        return f"{self.host}:{self.port}"
 
     def start(self, workers=0):
-        """Bind, start the scheduler, optionally spawn loopback workers."""
-        self.coordinator.start()
+        """Bind, start accepting and scheduling, spawn ``workers``.
+
+        With ``workers`` > 0, that many loopback worker subprocesses are
+        spawned and the first of them has joined on return.  Returns the
+        (host, port) actually bound.
+        """
+        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        try:
+            server.bind((self.host, self.port))
+        except OSError as error:
+            server.close()
+            raise ClusterError(
+                f"cannot bind coordinator to {self.address}: {error}"
+            ) from error
+        server.listen(64)
+        self.port = server.getsockname()[1]
+        self._server = server
         self._started_at = time.monotonic()
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name="cluster-accept", daemon=True)
+        self._accept_thread.start()
         self._scheduler = threading.Thread(
             target=self._scheduler_loop, name="serve-scheduler", daemon=True)
         self._scheduler.start()
         if workers:
-            self.coordinator.spawn_local_workers(workers)
-            self.coordinator.wait_for_workers(1)
-        return self.coordinator.host, self.coordinator.port
+            self.spawn_local_workers(workers)
+            self.wait_for_workers(1)
+        return self.host, self.port
 
     def close(self):
+        """Close sessions, drain workers, stop the server, reap children."""
         if self._closing:
             return
         self._closing = True
         for session in self.registry.live():
             session.connection.close()
-        self.coordinator.close()
+        for worker in self.live_workers():
+            # Ask each worker to finish its job and exit.
+            try:
+                worker.connection.send(DRAIN)
+            except OSError:
+                pass
+        if self._server is not None:
+            try:
+                # Wakes the accept thread: with close() alone, its
+                # blocked accept() keeps the port listening.
+                self._server.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            self._server.close()
+            self._accept_thread.join(timeout=5)
+        for process in self._spawned:
+            try:
+                process.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                process.terminate()
+                try:
+                    process.wait(timeout=5)
+                except subprocess.TimeoutExpired:
+                    process.kill()
+                    process.wait()
+        self._spawned = []
+        with self._lock:
+            workers, self._workers = self._workers, []
+        for worker in workers:
+            worker.connection.close()
         if self._scheduler is not None:
             self._scheduler.join(timeout=5)
         self._stopped.set()
@@ -145,36 +252,223 @@ class ServeDaemon:
         if not self.quiet:
             print(f"[serve] {text}", file=sys.stderr, flush=True)
 
-    # -- client connections (per-connection reader threads) ------------
-    def _client_session(self, connection, frame):
-        """Own a client connection; runs on its accept thread."""
-        from ..jobs.cache import code_salt
-        expected = code_salt()
-        if frame.get("version") != PROTOCOL_VERSION:
-            reason = (f"protocol version mismatch (daemon "
-                      f"{PROTOCOL_VERSION}, client {frame.get('version')})")
-        elif frame.get("salt") != expected:
-            reason = (f"code salt mismatch (daemon {expected}, client "
-                      f"{frame.get('salt')}): update the client's tree")
+    # -- the worker fleet ----------------------------------------------
+    def spawn_local_workers(self, count):
+        """Start ``count`` loopback worker subprocesses; returns Popens."""
+        package_root = os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__))))
+        env = os.environ.copy()
+        existing = env.get("PYTHONPATH", "")
+        if package_root not in existing.split(os.pathsep):
+            env["PYTHONPATH"] = package_root + (
+                os.pathsep + existing if existing else "")
+        if self.secret:
+            # Hand the handshake secret to loopback workers via the
+            # environment, never argv (argv is world-readable in ps).
+            env["REPRO_CLUSTER_SECRET"] = self.secret
+        if self.tls is not None:
+            # Children pin our certificate fingerprint -- trust without
+            # distributing any file.
+            env.update(self.tls.child_environment())
         else:
-            reason = None
+            # Inherited TLS trust would make a child dial TLS into our
+            # plaintext socket and never join.
+            for name in TLS_ENVIRONMENT:
+                env.pop(name, None)
+        command = [sys.executable, "-m", "repro", "cluster", "worker",
+                   "--connect", self.address]
+        processes = [subprocess.Popen(command, env=env)
+                     for _ in range(count)]
+        self._spawned.extend(processes)
+        return processes
+
+    def live_workers(self):
+        with self._lock:
+            return [w for w in self._workers if w.alive]
+
+    def idle_workers(self):
+        """Live workers that hold no lease and are not being closed."""
+        with self._lock:
+            return [w for w in self._workers
+                    if w.alive and not w.killing and not w.jobs]
+
+    def wait_for_workers(self, count, timeout=60.0):
+        """Block until ``count`` workers are registered (or raise)."""
+        deadline = time.monotonic() + timeout
+        while True:
+            live = len(self.live_workers())
+            if live >= count:
+                return live
+            if time.monotonic() >= deadline:
+                raise ClusterError(
+                    f"only {live} of {count} worker(s) connected to "
+                    f"{self.address} within {timeout:.0f}s")
+            time.sleep(0.02)
+
+    # -- accept thread and per-connection threads ----------------------
+    def _accept_loop(self):
+        while not self._closing:
+            try:
+                sock, _addr = self._server.accept()
+            except OSError:
+                return                     # server socket closed
+            thread = threading.Thread(target=self._serve_connection,
+                                      args=(sock,), daemon=True)
+            thread.start()
+
+    def _serve_connection(self, sock):
+        """Handshake one dialer; its first frame says what it is."""
+        try:
+            sock.settimeout(10.0)
+            if self.tls is not None:
+                # Handshake failures (e.g. a plaintext dialer) are
+                # OSErrors; the dialer is dropped before any frame.
+                sock = self.tls.wrap(sock)
+        except (OSError, ValueError):
+            try:
+                sock.close()
+            except OSError:
+                pass
+            return
+        connection = Connection(sock)
+        try:
+            if not self._authenticate(connection):
+                # Drain until the dialer has read the REJECT and closed:
+                # closing first can RST away the queued REJECT while the
+                # dialer's HELLO is still in flight, and it would see a
+                # reset instead of the rejection reason.
+                try:
+                    while connection.recv() is not None:
+                        pass
+                except (OSError, ProtocolError):
+                    pass
+                connection.close()
+                return
+            message = connection.recv()
+            sock.settimeout(None)
+        except (OSError, ProtocolError):
+            connection.close()
+            return
+        kind = message.get("type") if message is not None else None
+        if kind == STATUS:
+            try:
+                connection.send(STATUS_REPLY, **self.status())
+            except OSError:
+                pass
+            connection.close()
+            return
+        if kind not in (HELLO, SESSION):
+            connection.close()
+            return
+        # HELLO names its sender in "worker", SESSION in "client".
+        peer = "worker" if kind == HELLO else "client"
+        reason = self._refusal(message, peer)
         if reason is not None:
-            self._log(f"rejecting client {frame.get('client')}: {reason}")
+            self._log(f"rejecting {peer} {message.get(peer)}: {reason}")
             try:
                 connection.send(REJECT, reason=reason)
             except OSError:
                 pass
             connection.close()
             return
+        if kind == HELLO:
+            self._register_worker(connection, message)
+        else:
+            self._client_session(connection, message)
+
+    def _authenticate(self, connection):
+        """Shared-secret gate, before the first frame is even read.
+
+        With no secret configured this is a no-op.  Otherwise the dialer
+        must answer a fresh-nonce CHALLENGE with the right HMAC; anything
+        else (a HELLO from an unauthenticated worker, a bad MAC) is
+        rejected here, so an untrusted dialer never reaches registration.
+        """
+        if not self.secret:
+            return True
+        nonce = os.urandom(16).hex()
+        connection.send(CHALLENGE, nonce=nonce)
+        answer = connection.recv()
+        if answer is None:
+            return False
+        if answer.get("type") != AUTH:
+            reason = (f"authentication required (got {answer.get('type')!r} "
+                      f"before auth); dial with --secret")
+        elif not verify_mac(self.secret, nonce, answer.get("mac")):
+            reason = "authentication failed: wrong shared secret"
+        else:
+            return True
+        print(f"[cluster] rejecting unauthenticated dialer "
+              f"{connection.peer}: {reason}", file=sys.stderr)
+        try:
+            connection.send(REJECT, reason=reason)
+        except OSError:
+            pass
+        return False
+
+    def _refusal(self, frame, peer):
+        """Why a HELLO or SESSION frame is refused, or None to admit it."""
+        from ..jobs.cache import code_salt
+        expected = code_salt()
+        if frame.get("version") != PROTOCOL_VERSION:
+            return (f"protocol version mismatch (daemon {PROTOCOL_VERSION}, "
+                    f"{peer} {frame.get('version')})")
+        if frame.get("salt") != expected:
+            return (f"code salt mismatch (daemon {expected}, {peer} "
+                    f"{frame.get('salt')}): update the {peer}'s source tree")
+        return None
+
+    def _register_worker(self, connection, hello):
+        """Join the registry, then become the worker's reader loop."""
+        worker = WorkerHandle(connection, name=hello.get("worker"),
+                              host=hello.get("host"), pid=hello.get("pid"))
+        with self._lock:
+            self._workers.append(worker)
+        try:
+            connection.send(WELCOME, coordinator=self.address,
+                            version=PROTOCOL_VERSION)
+        except OSError:
+            self._events.put(("dead", worker, "welcome send failed"))
+            return
+        self._events.put(("join", worker, None))
+        while True:
+            try:
+                message = connection.recv()
+            except (OSError, ProtocolError) as error:
+                self._events.put(("dead", worker, repr(error)))
+                return
+            if message is None:
+                self._events.put(("dead", worker, "connection closed"))
+                return
+            kind = message.get("type")
+            worker.last_seen = time.monotonic()
+            if kind == RESULT:
+                self._events.put(("result", worker, message))
+            elif kind == GOODBYE:
+                self._events.put(
+                    ("left", worker, message.get("reason", "goodbye")))
+                return
+            elif kind == HEARTBEAT:
+                # Echo heartbeats so the worker sees periodic traffic and
+                # can bound its recv timeout: a partitioned daemon stops
+                # echoing, which is how the worker tells "idle" from
+                # "dead" instead of blocking on recv forever.
+                try:
+                    connection.send(HEARTBEAT)
+                except OSError:
+                    pass             # death surfaces via recv shortly
+            # Unknown types only refresh last_seen (forward compat).
+
+    def _client_session(self, connection, frame):
+        """Open a session, then become the client's reader loop."""
         session = self.registry.create(connection, name=frame.get("client"))
         with self._lock:
             self._stats["sessions_served"] += 1
         try:
             connection.send(SESSION_OK, session=session.session_id,
-                            version=PROTOCOL_VERSION,
-                            daemon=self.coordinator.address)
+                            version=PROTOCOL_VERSION, daemon=self.address)
         except OSError:
-            self._events().put(("client-gone", session, "session-ok failed"))
+            self._events.put(("client-gone", session, "session-ok failed"))
             return
         self._log(f"session {session.session_id} opened "
                   f"({session.name} @ {connection.peer})")
@@ -182,36 +476,86 @@ class ServeDaemon:
             try:
                 message = connection.recv()
             except (OSError, ProtocolError) as error:
-                self._events().put(("client-gone", session, repr(error)))
+                self._events.put(("client-gone", session, repr(error)))
                 return
             if message is None:
-                self._events().put(("client-gone", session, "disconnected"))
+                self._events.put(("client-gone", session, "disconnected"))
                 return
             kind = message.get("type")
             session.last_seen = time.monotonic()
             if kind == SUBMIT:
-                self._events().put(("submit", session, message))
+                self._events.put(("submit", session, message))
             elif kind == HEARTBEAT:
                 try:
                     connection.send(HEARTBEAT)
                 except OSError:
                     pass             # death surfaces via recv shortly
             elif kind == GOODBYE:
-                self._events().put(("client-gone", session, "goodbye"))
+                self._events.put(("client-gone", session, "goodbye"))
                 return
             # Unknown types only refresh last_seen (forward compat).
 
-    def _events(self):
-        return self.coordinator._events
+    # -- leases (driven by the scheduler thread) -----------------------
+    def _expired_workers(self, now):
+        expired = []
+        with self._lock:
+            workers = [w for w in self._workers if w.alive and not w.killing]
+        for worker in workers:
+            if worker.deadline is not None and now > worker.deadline:
+                expired.append((worker, "job lease timed out"))
+            elif now - worker.last_seen > self.heartbeat_timeout:
+                expired.append((worker, "heartbeat timeout"))
+        return expired
+
+    def lease(self, worker, job, now):
+        """Send ``job`` to ``worker``, record the lease, arm its expiry.
+
+        Returns False when the send fails: the worker is closed and a
+        ``dead`` event queued, and the caller keeps the job.
+        """
+        try:
+            worker.connection.send(JOB, job_id=job.key,
+                                   spec=job.spec.to_dict())
+        except OSError as error:
+            worker.killing = True
+            worker.connection.close()
+            self._events.put(("dead", worker, f"send failed: {error}"))
+            return False
+        worker.jobs[job.key] = job
+        worker.deadline = now + self.job_timeout if self.job_timeout else None
+        return True
+
+    def release(self, worker, key):
+        """A RESULT for ``key`` arrived: end that lease, return its job.
+
+        Returns None for a stale result (no lease on ``key``), which
+        leaves the worker's current lease and its expiry alone.
+        """
+        job = worker.jobs.pop(key, None)
+        if not worker.jobs:
+            worker.deadline = None
+        worker.done += 1
+        return job
+
+    def drop_worker(self, worker):
+        """Unregister a dead or departed worker; returns its lost jobs."""
+        with self._lock:
+            worker.alive = False
+            if worker in self._workers:
+                self._workers.remove(worker)
+        worker.connection.close()
+        lost = list(worker.jobs.values())
+        worker.jobs.clear()
+        worker.deadline = None
+        return lost
 
     # -- scheduler thread ----------------------------------------------
     def _scheduler_loop(self):
-        coordinator = self.coordinator
         last_beat = 0.0
         last_live = time.monotonic()
         while not self._closing:
             now = time.monotonic()
-            for worker, reason in coordinator._expired_workers(now):
+            for worker, reason in self._expired_workers(now):
                 worker.killing = True
                 worker.connection.close()    # reader thread emits "dead"
                 self._log(f"disconnecting worker {worker.label}: {reason}")
@@ -222,7 +566,7 @@ class ServeDaemon:
             self._dispatch(now)
             # The grace window runs while jobs wait with no live worker:
             # an empty queue restarts it, so idle time never counts.
-            if coordinator.live_workers() or not len(self.queue):
+            if self.live_workers() or not len(self.queue):
                 last_live = now
             elif now - last_live > self.worker_grace:
                 self._fail_all_queued(
@@ -233,27 +577,27 @@ class ServeDaemon:
                     try:
                         session.connection.send(HEARTBEAT)
                     except OSError:
-                        self._events().put(
+                        self._events.put(
                             ("client-gone", session, "heartbeat failed"))
             try:
-                kind, subject, payload = self._events().get(
+                kind, subject, payload = self._events.get(
                     timeout=self.poll_interval)
             except queue_module.Empty:
                 continue
             try:
                 if kind == "join":
                     self._log(f"worker {subject.label} joined "
-                              f"(fleet={len(coordinator.live_workers())})")
+                              f"(fleet={len(self.live_workers())})")
                 elif kind == "result":
-                    job = coordinator.release(subject, payload.get("job_id"))
+                    job = self.release(subject, payload.get("job_id"))
                     # Skip stale results (the lease was since reassigned).
                     if job is not None and self._inflight.get(job.key) is job:
                         self._finish_job(job, subject, payload)
                 elif kind in ("dead", "left"):
                     reason = f"worker {subject.label} {kind}: {payload}"
-                    lost = coordinator.drop_worker(subject)
+                    lost = self.drop_worker(subject)
                     self._log(f"{reason} "
-                              f"(fleet={len(coordinator.live_workers())})")
+                              f"(fleet={len(self.live_workers())})")
                     for job in lost:
                         if self._inflight.get(job.key) is job:
                             self._settle_failure(job, reason)
@@ -268,20 +612,14 @@ class ServeDaemon:
 
     def _dispatch(self, now):
         """Lease the fair-share queue's next job to each idle worker."""
-        for worker in self.coordinator.idle_workers():
+        for worker in self.idle_workers():
             job = self.queue.next_job(now)
             if job is None:
                 return
-            if not self.coordinator.lease(worker, job, now):
+            if not self.lease(worker, job, now):
                 self.queue.add(job, front=True)
 
     # -- sweep submission ----------------------------------------------
-    def _cost_model_lazy(self):
-        if not self._cost_model_loaded:
-            self._cost_model = cost_model_for(self.ledger)
-            self._cost_model_loaded = True
-        return self._cost_model
-
     def _on_submit(self, session, message):
         from ..jobs.spec import JobSpec
         if not session.alive:
@@ -299,16 +637,14 @@ class ServeDaemon:
         unique = {}
         for spec in specs:
             unique.setdefault(spec.key, spec)
-        ordered = longest_first(list(unique.values()),
-                                self._cost_model_lazy())
         sweep = Sweep(self.registry.next_sweep_id(), session.session_id,
-                      ordered)
+                      list(unique.values()))
         session.sweeps[sweep.sweep_id] = sweep
         try:
             session.connection.send(SWEEP_ACCEPTED, sweep=sweep.sweep_id,
                                     jobs=sweep.total, submitted=len(raw))
         except OSError:
-            self._events().put(("client-gone", session, "accept failed"))
+            self._events.put(("client-gone", session, "accept failed"))
             return
         self._log(f"sweep {sweep.sweep_id}: {sweep.total} job(s) from "
                   f"session {session.session_id}")
@@ -431,7 +767,7 @@ class ServeDaemon:
         try:
             session.connection.send(JOB_DONE, **fields)
         except OSError:
-            self._events().put(("client-gone", session, "job-done failed"))
+            self._events.put(("client-gone", session, "job-done failed"))
 
     def _finish_sweep(self, session, sweep):
         with self._lock:
@@ -444,7 +780,7 @@ class ServeDaemon:
                 done=sweep.done, cached=sweep.cached,
                 failed=dict(sweep.failed))
         except OSError:
-            self._events().put(("client-gone", session, "sweep-done failed"))
+            self._events.put(("client-gone", session, "sweep-done failed"))
         self._log(f"sweep {sweep.sweep_id} settled: {sweep.done}/"
                   f"{sweep.total} ok ({sweep.cached} from store, "
                   f"{len(sweep.failed)} failed)")
@@ -485,22 +821,32 @@ class ServeDaemon:
                 # queue only if someone watched it, so nothing to drop.
 
     # -- introspection -------------------------------------------------
-    def _status_extra(self):
-        """Daemon fields merged into STATUS replies (cluster status CLI)."""
+    def status(self):
+        """The STATUS reply: address, live workers, the daemon section."""
         now = time.monotonic()
-        live = self.coordinator.live_workers()
-        info = {
+        with self._lock:
+            live = [w for w in self._workers if w.alive]
+            workers = [{
+                "name": worker.label,
+                "host": worker.host,
+                "pid": worker.pid,
+                "state": "busy" if worker.jobs else "idle",
+                "jobs_done": worker.done,
+                "last_seen_s": round(now - worker.last_seen, 3),
+            } for worker in live]
+            stats = dict(self._stats)
+        daemon = {
             "uptime_s": round(now - (self._started_at or now), 3),
             "protocol": PROTOCOL_VERSION,
-            "tls": self.coordinator.tls is not None,
+            "tls": self.tls is not None,
             "fleet": len(live),
             "active_jobs": sum(len(w.jobs) for w in live),
             "queued_jobs": len(self.queue),
             "sessions": self.registry.snapshot(now),
         }
-        with self._lock:
-            info.update(self._stats)
+        daemon.update(stats)
         if self.store is not None:
-            info["store"] = {"hits": self.store.hits,
-                             "misses": self.store.misses}
-        return {"daemon": info}
+            daemon["store"] = {"hits": self.store.hits,
+                               "misses": self.store.misses}
+        return {"address": self.address, "workers": workers,
+                "daemon": daemon}

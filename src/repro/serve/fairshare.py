@@ -1,16 +1,14 @@
-"""Fair-share job queue: round-robin across sessions, longest-first within.
+"""Fair-share job queue: round-robin across sessions, FIFO within.
 
 The serve daemon multiplexes many clients' sweeps over one worker
 fleet.  Scheduling is two-level:
 
 * **Across sessions** -- strict round-robin.  Each time a worker goes
-  idle the queue offers the *next* session's best job, so a client that
-  submits a 10,000-point sweep cannot starve one that submits ten
+  idle the queue offers the *next* session's first job, so a client
+  that submits a 10,000-point sweep cannot starve one that submits ten
   points; both make proportional progress.
-* **Within a session** -- longest-expected-first.  Sweeps are sorted by
-  the ledger-learned :class:`~repro.cluster.costmodel.CostModel` at
-  submission time (the same LPT heuristic the per-sweep backends use),
-  so each session's own tail latency stays minimal.
+* **Within a session** -- submission order, the enumeration order every
+  other backend dispatches in too.
 
 Each :class:`ServeJob` carries its retry/backoff state (``attempts``,
 ``not_before``); a backoff-gated job is skipped, not blocking -- the

@@ -468,13 +468,13 @@ def _serve_sweep(tmp_path):
     daemon = ServeDaemon(store=store, ledger=ledger, quiet=True,
                          retry_base=0.05, retry_cap=0.2, job_timeout=120)
     daemon.start()
-    worker = Worker(f"127.0.0.1:{daemon.coordinator.port}",
+    worker = Worker(f"127.0.0.1:{daemon.port}",
                     worker_id="sanw", run_job=run_spec)
     thread = threading.Thread(target=worker.serve, daemon=True)
     thread.start()
-    daemon.coordinator.wait_for_workers(1, timeout=60)
+    daemon.wait_for_workers(1, timeout=60)
     results = {}
-    client = ServeClient(f"127.0.0.1:{daemon.coordinator.port}")
+    client = ServeClient(f"127.0.0.1:{daemon.port}")
     try:
         failed = client.run(
             specs, lambda spec, metrics, **meta:

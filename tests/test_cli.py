@@ -82,6 +82,27 @@ class TestCli:
             os.path.join(cache_dir, "runs.jsonl")) if "key" in row]
         assert len(sims) == len(hpcdb) * 3       # ooo, vr, dvr
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["fig9", "--graphs", "XX", "--instructions", "300"],
+                     id="fig9-graphs"),
+        pytest.param(["run", "bfs", "--graph", "XX"], id="run-graph"),
+    ])
+    def test_unknown_graph_rejected_when_parsed(self, argv, capsys,
+                                                monkeypatch, tmp_path):
+        """An unknown graph name is one argparse error, exit 2, before
+        any simulation starts."""
+        from repro.uarch.core import OoOCore
+        cycle_loops = []
+        monkeypatch.setattr(OoOCore, "run",
+                            lambda core, *a, **k: cycle_loops.append(core))
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--cache-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "invalid choice" in line]
+        assert len(errors) == 1 and "'XX'" in errors[0]
+        assert cycle_loops == []
+
 
 class TestJobsFlags:
     def test_fig11_parallel_matches_serial(self, capsys, tiny_graph):
@@ -268,7 +289,7 @@ class TestClusterCommand:
         from repro.serve import ServeDaemon
         daemon = ServeDaemon(quiet=True)
         daemon.start()
-        port = daemon.coordinator.port
+        port = daemon.port
         try:
             assert main(["cluster", "status", "--connect",
                          f"127.0.0.1:{port}"]) == 0

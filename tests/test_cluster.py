@@ -1,8 +1,8 @@
 """Tests for the ``repro.cluster`` distributed executor backend.
 
-Covers the wire protocol framing, the ledger-learned cost model and
-longest-first scheduler, coordinator/worker handshake policy (code-salt
-rejection), and the full loopback path that ``--backend cluster`` runs:
+Covers the wire protocol framing, dispatch in input order, the serve
+daemon's lease steps and worker handshake policy (code-salt rejection),
+and the full loopback path that ``--backend cluster`` runs:
 a serve daemon in the sweep process plus real worker subprocesses
 (spawned exactly as ``repro cluster worker --connect`` users would)
 producing bit-identical metrics to the local backend -- including when
@@ -21,13 +21,12 @@ import time
 import pytest
 
 from repro.config import SimConfig, TECH_DVR, TECH_OOO
-from repro.cluster import (AuthenticationError, Coordinator, CostModel,
-                           ProtocolError, TLSConfig, Worker, cost_model_for,
-                           longest_first, parse_address, query_status)
-from repro.cluster import WorkerHandle, protocol
+from repro.cluster import (AuthenticationError, ProtocolError, TLSConfig,
+                           Worker, parse_address, protocol, query_status)
 from repro.jobs import (ExecutionContext, Executor, JobSpec, NullCache,
                         NullLedger, ResultCache, RunLedger)
 from repro.serve import ServeClient, ServeDaemon, ServeExecutor, ServeJob
+from repro.serve.daemon import WorkerHandle
 
 
 def _spec(workload="nas-is", technique=TECH_OOO, seed=12345,
@@ -102,93 +101,58 @@ class TestProtocol:
 
 
 # ---------------------------------------------------------------------------
-# Cost model + scheduler
+# Dispatch order: input order on every backend, whatever the ledger holds
 # ---------------------------------------------------------------------------
-def _ledger_record(workload, technique, wall_s, max_instructions,
-                   graph=None, cache="miss", status="ok"):
-    return {"workload": workload, "technique": technique, "wall_s": wall_s,
-            "max_instructions": max_instructions, "cache": cache,
-            "status": status, "params": {"graph": graph} if graph else {}}
+class _Quiet:
+    def update(self, done, total, spec, cached):
+        pass
+
+    def finish(self, total, cached, wall_s):
+        pass
 
 
-class TestCostModel:
-    def test_empty_model_predicts_default(self):
-        model = CostModel()
-        assert len(model) == 0
-        assert model.predict(_spec()) == CostModel.DEFAULT_COST
+class TestDispatchOrder:
+    """A ledger whose history makes the second spec ten times slower
+    changes nothing: jobs still go out in the order they came in, and
+    nothing but the ledger is written to its directory."""
 
-    def test_exact_key_beats_fallbacks(self):
-        model = CostModel.from_records([
-            _ledger_record("nas-is", "ooo", 2.0, 1_000),
-            _ledger_record("camel", "ooo", 50.0, 1_000),
-        ])
-        # nas-is/ooo at 1500 instructions: rate 0.002 s/instr * 1500.
-        assert model.predict(_spec()) == pytest.approx(3.0)
-
-    def test_technique_fallback_scales_with_instructions(self):
-        model = CostModel.from_records(
-            [_ledger_record("nas-is", "dvr", 4.0, 1_000)])
-        prediction = model.predict(
-            _spec(workload="camel", technique=TECH_DVR,
-                  max_instructions=2_000))
-        assert prediction == pytest.approx(8.0)
-
-    def test_cache_hits_and_failures_ignored(self):
-        model = CostModel.from_records([
-            _ledger_record("nas-is", "ooo", 0.001, 1_000, cache="hit"),
-            _ledger_record("nas-is", "ooo", 9.0, 1_000, status="failed"),
-        ])
-        assert len(model) == 0
-
-    def test_from_ledger_file(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
-        spec = _spec()
-        from repro.harness.runner import run_spec
-        metrics = run_spec(spec)
-        ledger.record(spec, cache="miss", wall_s=1.25, worker=1,
-                      metrics=metrics)
-        model = CostModel.from_ledger(ledger.path)
-        assert len(model) == 1
-        assert model.predict(spec) == pytest.approx(1.25)
-
-
-class TestScheduler:
-    def test_longest_first_orders_by_predicted_cost(self):
-        model = CostModel.from_records([
-            _ledger_record("nas-is", "ooo", 1.0, 1_000),
-            _ledger_record("camel", "ooo", 10.0, 1_000),
-        ])
+    def _history(self, tmp_path):
         fast, slow = _spec(workload="nas-is"), _spec(workload="camel")
-        assert longest_first([fast, slow], model) == [slow, fast]
-
-    def test_no_model_keeps_enumeration_order(self):
-        specs = [_spec(seed=s) for s in range(4)]
-        assert longest_first(specs, None) == specs
-        assert longest_first(specs, CostModel()) == specs
-
-    def test_tie_break_is_stable(self):
-        model = CostModel.from_records(
-            [_ledger_record("nas-is", "ooo", 1.0, 1_000)])
-        specs = [_spec(seed=s) for s in range(5)]   # all same predicted cost
-        assert longest_first(specs, model) == specs
-
-    def test_cost_model_for_null_ledger(self):
-        assert cost_model_for(NullLedger()) is None
-
-    def test_pool_executor_reorders_submissions(self, tmp_path):
-        """The local pool backend consults the ledger-learned model too."""
         ledger = RunLedger(str(tmp_path / "runs.jsonl"))
-        model = CostModel.from_records([
-            _ledger_record("nas-is", "ooo", 1.0, 1_000),
-            _ledger_record("camel", "ooo", 10.0, 1_000),
-        ])
-        executor = Executor(jobs=2, cache=NullCache(), ledger=ledger,
-                            cost_model=model)
-        fast, slow = _spec(workload="nas-is"), _spec(workload="camel")
-        assert executor._schedule([fast, slow]) == [slow, fast]
-        # And results still align with the *input* order.
-        results = executor.run([fast, slow])
+        ledger.record(fast, cache="miss", wall_s=0.1, worker=1)
+        ledger.record(slow, cache="miss", wall_s=1.0, worker=1)
+        return fast, slow, ledger
+
+    def test_pool_submits_in_input_order(self, tmp_path, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.jobs import executor as executor_module
+        submitted = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(args[0]["workload"])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
+                            RecordingPool)
+        fast, slow, ledger = self._history(tmp_path)
+        results = Executor(jobs=2, cache=NullCache(), ledger=ledger,
+                           progress=_Quiet()).run([fast, slow])
+        assert submitted == ["nas-is", "camel"]
         assert [m.workload for m in results] == ["nas-is", "camel"]
+        assert [path.name for path in tmp_path.iterdir()] == ["runs.jsonl"]
+
+    def test_daemon_queues_in_submission_order(self, tmp_path):
+        fast, slow, ledger = self._history(tmp_path)
+        daemon = ServeDaemon(ledger=ledger, quiet=True)
+        session = daemon.registry.create(_FakeConnection(), name="client")
+        daemon._on_submit(session,
+                          {"specs": [fast.to_dict(), slow.to_dict()]})
+        queued = [daemon.queue.next_job(now=0.0).spec.workload
+                  for _ in range(2)]
+        assert queued == ["nas-is", "camel"]
+        assert [path.name for path in tmp_path.iterdir()] == ["runs.jsonl"]
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +177,16 @@ class _FakeConnection:
 
 
 class TestLeasePath:
-    """``Coordinator.idle_workers/lease/release/drop_worker``, driven by
-    the serve daemon's ``_dispatch``."""
+    """``ServeDaemon.idle_workers/lease/release/drop_worker``, driven by
+    the daemon's ``_dispatch``."""
 
     def _daemon(self):
         return ServeDaemon(job_timeout=30.0, quiet=True)
 
-    def _register(self, coordinator, name, broken=False):
+    def _register(self, daemon, name, broken=False):
         worker = WorkerHandle(_FakeConnection(broken), name=name)
-        with coordinator._lock:
-            coordinator._workers.append(worker)
+        with daemon._lock:
+            daemon._workers.append(worker)
         return worker
 
     def _jobs_sent(self, worker):
@@ -237,7 +201,7 @@ class TestLeasePath:
 
     def test_one_job_per_idle_worker(self):
         daemon = self._daemon()
-        fleet = [self._register(daemon.coordinator, f"w{i}")
+        fleet = [self._register(daemon, f"w{i}")
                  for i in range(2)]
         jobs = self._queue(daemon, (1, 2, 3))
         daemon._dispatch(now=100.0)
@@ -257,7 +221,7 @@ class TestLeasePath:
         """With two sessions queued, one pass gives each idle worker one
         job, taking the sessions in turn."""
         daemon = self._daemon()
-        fleet = [self._register(daemon.coordinator, f"w{i}")
+        fleet = [self._register(daemon, f"w{i}")
                  for i in range(2)]
         first = [ServeJob(_spec(seed=seed), "s1") for seed in (1, 2)]
         other = [ServeJob(_spec(seed=seed), "s2") for seed in (3, 4)]
@@ -271,14 +235,13 @@ class TestLeasePath:
 
     def test_busy_and_killing_workers_get_no_job(self):
         daemon = self._daemon()
-        coordinator = daemon.coordinator
-        busy = self._register(coordinator, "busy")
-        killing = self._register(coordinator, "killing")
-        idle = self._register(coordinator, "idle")
+        busy = self._register(daemon, "busy")
+        killing = self._register(daemon, "killing")
+        idle = self._register(daemon, "idle")
         held = ServeJob(_spec(seed=9), "s1")
-        assert coordinator.lease(busy, held, now=0.0)
+        assert daemon.lease(busy, held, now=0.0)
         killing.killing = True
-        assert coordinator.idle_workers() == [idle]
+        assert daemon.idle_workers() == [idle]
         jobs = self._queue(daemon, (1, 2))
         daemon._dispatch(now=1.0)
         assert self._jobs_sent(busy) == [held.key]
@@ -289,16 +252,15 @@ class TestLeasePath:
 
     def test_send_failure_marks_killing_and_keeps_job_ready(self):
         daemon = self._daemon()
-        coordinator = daemon.coordinator
-        broken = self._register(coordinator, "broken", broken=True)
+        broken = self._register(daemon, "broken", broken=True)
         first, second = self._queue(daemon, (1, 2))
         daemon._dispatch(now=5.0)
         assert broken.killing and broken.connection.closed
         assert broken.jobs == {} and broken.deadline is None
-        kind, worker, reason = coordinator._events.get_nowait()
+        kind, worker, reason = daemon._events.get_nowait()
         assert (kind, worker) == ("dead", broken)
         assert "send failed" in reason
-        assert coordinator.idle_workers() == []
+        assert daemon.idle_workers() == []
         # The job goes back to the front of its session's queue.
         assert len(daemon.queue) == 2
         assert daemon.queue.next_job(now=5.0) is first
@@ -307,39 +269,39 @@ class TestLeasePath:
         """A job whose send fails goes back to the front of its queue, so
         the next idle worker in the same pass takes it."""
         daemon = self._daemon()
-        broken = self._register(daemon.coordinator, "broken", broken=True)
-        healthy = self._register(daemon.coordinator, "healthy")
+        broken = self._register(daemon, "broken", broken=True)
+        healthy = self._register(daemon, "healthy")
         first, second = self._queue(daemon, (1, 2))
         daemon._dispatch(now=5.0)
         assert broken.killing
-        assert daemon.coordinator._events.get_nowait()[0] == "dead"
+        assert daemon._events.get_nowait()[0] == "dead"
         assert self._jobs_sent(healthy) == [first.key]
         assert healthy.jobs == {first.key: first}
         assert len(daemon.queue) == 1
         assert daemon.queue.next_job(now=5.0) is second
 
     def test_result_ends_lease_and_clears_deadline(self):
-        coordinator = self._daemon().coordinator
-        worker = self._register(coordinator, "w")
+        daemon = self._daemon()
+        worker = self._register(daemon, "w")
         job = ServeJob(_spec(seed=1), "s1")
-        assert coordinator.lease(worker, job, now=10.0)
+        assert daemon.lease(worker, job, now=10.0)
         assert worker.deadline == 40.0
         # A stale RESULT leaves the live lease and its expiry alone.
-        assert coordinator.release(worker, "some-other-key") is None
+        assert daemon.release(worker, "some-other-key") is None
         assert worker.jobs == {job.key: job} and worker.deadline == 40.0
-        assert coordinator.release(worker, job.key) is job
+        assert daemon.release(worker, job.key) is job
         assert worker.jobs == {} and worker.deadline is None
-        assert coordinator.idle_workers() == [worker]
+        assert daemon.idle_workers() == [worker]
 
     def test_drop_worker_returns_its_lost_job(self):
-        coordinator = self._daemon().coordinator
-        worker = self._register(coordinator, "w")
+        daemon = self._daemon()
+        worker = self._register(daemon, "w")
         job = ServeJob(_spec(seed=1), "s1")
-        coordinator.lease(worker, job, now=0.0)
-        assert coordinator.drop_worker(worker) == [job]
+        daemon.lease(worker, job, now=0.0)
+        assert daemon.drop_worker(worker) == [job]
         assert not worker.alive and worker.connection.closed
         assert worker.jobs == {} and worker.deadline is None
-        assert coordinator.live_workers() == []
+        assert daemon.live_workers() == []
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +315,7 @@ class _Loopback:
     def __init__(self, **daemon_kwargs):
         self.daemon = ServeDaemon(quiet=True, **daemon_kwargs)
         self.daemon.start()
-        self.coordinator = self.daemon.coordinator
-        self.port = self.coordinator.port
+        self.port = self.daemon.port
         self._clients = []
 
     def executor(self, tmp_path=None, *, cache=None, ledger=None,
@@ -365,7 +326,7 @@ class _Loopback:
             cache = ResultCache(str(tmp_path))
             ledger = RunLedger(str(tmp_path / "runs.jsonl"))
         client = ServeClient(self.daemon.address,
-                             secret=self.coordinator.secret, tls=False)
+                             secret=self.daemon.secret, tls=False)
         self._clients.append(client)
         return ServeExecutor(client, cache=cache, ledger=ledger, **kwargs)
 
@@ -399,8 +360,8 @@ class TestLoopbackSweep:
         specs = _sweep_specs(6)
         serial = Executor(jobs=1, cache=NullCache()).run(specs)
 
-        cluster.coordinator.spawn_local_workers(2)
-        cluster.coordinator.wait_for_workers(2, timeout=60)
+        cluster.daemon.spawn_local_workers(2)
+        cluster.daemon.wait_for_workers(2, timeout=60)
         clustered = cluster.executor(tmp_path).run(specs)
 
         for expected, actual in zip(serial, clustered):
@@ -426,8 +387,8 @@ class TestLoopbackSweep:
         specs = _sweep_specs(8)
         serial = Executor(jobs=1, cache=NullCache()).run(specs)
 
-        processes = cluster.coordinator.spawn_local_workers(2)
-        cluster.coordinator.wait_for_workers(2, timeout=60)
+        processes = cluster.daemon.spawn_local_workers(2)
+        cluster.daemon.wait_for_workers(2, timeout=60)
 
         class KillOnFirstResult:
             """Progress hook that SIGKILLs a worker at the first result."""
@@ -464,7 +425,7 @@ class TestFaultTolerance:
     def test_stale_salt_worker_rejected(self, cluster):
         worker = Worker(f"127.0.0.1:{cluster.port}", salt="stale-tree")
         assert worker.serve() == 2              # WorkerRejected exit code
-        assert cluster.coordinator.live_workers() == []
+        assert cluster.daemon.live_workers() == []
 
     def test_job_exception_requeues_with_retry_accounting(self, cluster,
                                                           tmp_path):
@@ -478,7 +439,7 @@ class TestFaultTolerance:
             return run_spec(spec)
 
         _thread_worker(cluster, run_job=flaky, worker_id="flaky-w")
-        cluster.coordinator.wait_for_workers(1, timeout=10)
+        cluster.daemon.wait_for_workers(1, timeout=10)
         executor = cluster.executor(tmp_path)
         results = executor.run([_spec()])
         assert results[0].cycles > 0
@@ -499,9 +460,9 @@ class TestFaultTolerance:
 
             # The stuck worker joins first, so it gets the first lease.
             _thread_worker(cluster, run_job=stuck, worker_id="stuck-w")
-            cluster.coordinator.wait_for_workers(1, timeout=10)
+            cluster.daemon.wait_for_workers(1, timeout=10)
             _thread_worker(cluster, run_job=run_spec, worker_id="healthy-w")
-            cluster.coordinator.wait_for_workers(2, timeout=10)
+            cluster.daemon.wait_for_workers(2, timeout=10)
 
             executor = cluster.executor(tmp_path)
             results = executor.run([_spec()])
@@ -575,7 +536,7 @@ class TestAuth:
         from repro.harness.runner import run_spec
         _thread_worker(secured, run_job=run_spec, worker_id="auth-w",
                        secret=self.SECRET)
-        secured.coordinator.wait_for_workers(1, timeout=10)
+        secured.daemon.wait_for_workers(1, timeout=10)
         results = secured.executor(tmp_path).run([_spec()])
         assert results[0].cycles > 0
         record = RunLedger.read(str(tmp_path / "runs.jsonl"))[-1]
@@ -585,13 +546,13 @@ class TestAuth:
         worker = Worker(f"127.0.0.1:{secured.port}", secret=None,
                         reconnect=0, quiet=True)
         assert worker.serve() == 2
-        assert secured.coordinator.live_workers() == []
+        assert secured.daemon.live_workers() == []
 
     def test_worker_with_wrong_secret_rejected(self, secured):
         worker = Worker(f"127.0.0.1:{secured.port}", secret="not-it",
                         reconnect=0, quiet=True)
         assert worker.serve() == 2
-        assert secured.coordinator.live_workers() == []
+        assert secured.daemon.live_workers() == []
 
     @pytest.mark.parametrize("kwargs", [
         pytest.param({"secret": None}, id="no-secret"),
@@ -636,15 +597,15 @@ class TestAuth:
         """Explicit secret=None disables auth on both ends regardless of
         the environment (the env fallback is only for unset secrets)."""
         monkeypatch.delenv("REPRO_CLUSTER_SECRET", raising=False)
-        coordinator = Coordinator(secret=None)
-        coordinator.start()
+        daemon = ServeDaemon(secret=None, quiet=True)
+        daemon.start()
         try:
             from repro.harness.runner import run_spec
-            _thread_worker(coordinator, run_job=run_spec,
+            _thread_worker(daemon, run_job=run_spec,
                            worker_id="open-w", secret=None)
-            coordinator.wait_for_workers(1, timeout=10)
+            daemon.wait_for_workers(1, timeout=10)
         finally:
-            coordinator.close()
+            daemon.close()
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +630,7 @@ class TestResume:
             self, cluster, tmp_path):
         from repro.harness.runner import run_spec
         _thread_worker(cluster, run_job=run_spec, worker_id="resume-w")
-        cluster.coordinator.wait_for_workers(1, timeout=10)
+        cluster.daemon.wait_for_workers(1, timeout=10)
         specs = _sweep_specs(6)
         serial = Executor(jobs=1, cache=NullCache()).run(specs)
         path = str(tmp_path / "runs.jsonl")
@@ -758,7 +719,7 @@ class TestStatus:
     def test_query_status_reports_workers(self, cluster):
         from repro.harness.runner import run_spec
         _thread_worker(cluster, run_job=run_spec, worker_id="status-w")
-        cluster.coordinator.wait_for_workers(1, timeout=10)
+        cluster.daemon.wait_for_workers(1, timeout=10)
         info = query_status(f"127.0.0.1:{cluster.port}")
         assert info["address"].endswith(str(cluster.port))
         assert [w["name"] for w in info["workers"]] == ["status-w"]
@@ -768,7 +729,7 @@ class TestStatus:
     def test_status_counts_jobs_after_sweep(self, cluster, tmp_path):
         from repro.harness.runner import run_spec
         _thread_worker(cluster, run_job=run_spec, worker_id="count-w")
-        cluster.coordinator.wait_for_workers(1, timeout=10)
+        cluster.daemon.wait_for_workers(1, timeout=10)
         cluster.executor(tmp_path).run([_spec(seed=31), _spec(seed=32)])
         info = query_status(f"127.0.0.1:{cluster.port}")
         assert info["daemon"]["jobs_done"] == 2
@@ -791,9 +752,9 @@ class TestClusterBackend:
                                    cluster={"workers": 1})
         try:
             assert context.executor().run([_spec()])[0].cycles > 0
-            coordinator = context._daemon.coordinator
-            processes = list(coordinator._spawned)
-            port = coordinator.port
+            daemon = context._daemon
+            processes = list(daemon._spawned)
+            port = daemon.port
         finally:
             context.close()
         assert len(processes) == 1
@@ -810,8 +771,8 @@ class TestClusterBackend:
         daemon = ServeDaemon(quiet=True)
         daemon.start()
         try:
-            daemon.coordinator.spawn_local_workers(1)
-            assert daemon.coordinator.wait_for_workers(1, timeout=20) == 1
+            daemon.spawn_local_workers(1)
+            assert daemon.wait_for_workers(1, timeout=20) == 1
         finally:
             daemon.close()
 

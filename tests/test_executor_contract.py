@@ -93,7 +93,7 @@ def make_executor(backend, tmp_path):
             contexts.append(context)
             executor = context.executor()
             executor.progress = _Quiet()
-            coordinator = context._daemon.coordinator
+            daemon = context._daemon
         else:
             daemon = ServeDaemon(
                 quiet=True, job_timeout=job_timeout,
@@ -102,13 +102,12 @@ def make_executor(backend, tmp_path):
                 worker_grace=30.0)
             daemon.start()
             daemons.append(daemon)
-            coordinator = daemon.coordinator
 
         def serve_loop(worker_id):
             # With faults armed, crashed/partitioned workers rejoin like
             # a supervised fleet; without, one serve() call as before.
             while not stop.is_set():
-                worker = Worker(f"127.0.0.1:{coordinator.port}",
+                worker = Worker(f"127.0.0.1:{daemon.port}",
                                 worker_id=worker_id,
                                 run_job=run_job or run_spec,
                                 injector=injector, quiet=True,
@@ -123,10 +122,10 @@ def make_executor(backend, tmp_path):
         for index in range(workers):
             threading.Thread(target=serve_loop, args=(f"w{index}",),
                              daemon=True).start()
-        coordinator.wait_for_workers(workers, timeout=10)
+        daemon.wait_for_workers(workers, timeout=10)
         if backend == "cluster":
             return executor
-        client = ServeClient(f"127.0.0.1:{coordinator.port}")
+        client = ServeClient(f"127.0.0.1:{daemon.port}")
         client.connect()
         clients.append(client)
         return ServeExecutor(client, cache=cache, ledger=ledger_obj,

@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.config import SimConfig, TECH_DVR, TECH_OOO
-from repro.cluster import (ProtocolError, TLSConfig, Worker,
+from repro.cluster import (ProtocolError, TLSConfig, TLSConfigError, Worker,
                            certificate_fingerprint, query_status)
 from repro.harness.runner import run_spec
 from repro.jobs import (CacheStack, Executor, JobSpec, NullCache,
@@ -249,20 +249,20 @@ def _daemon(tmp_path, *, store=True, tls=None, workers=2, worker_tls=None,
     daemon.start()
     threads = []
     for index in range(workers):
-        worker = Worker(f"127.0.0.1:{daemon.coordinator.port}",
+        worker = Worker(f"127.0.0.1:{daemon.port}",
                         worker_id=f"tw{index}", run_job=run_spec,
                         tls=worker_tls)
         thread = threading.Thread(target=worker.serve, daemon=True)
         thread.start()
         threads.append(thread)
     if workers:
-        daemon.coordinator.wait_for_workers(workers, timeout=60)
+        daemon.wait_for_workers(workers, timeout=60)
     return daemon
 
 
 def _run_client(daemon, specs, *, tls=None, collect_meta=False, **kwargs):
     """One ServeClient session: submit ``specs``, gather all results."""
-    client = ServeClient(f"127.0.0.1:{daemon.coordinator.port}", tls=tls,
+    client = ServeClient(f"127.0.0.1:{daemon.port}", tls=tls,
                          **kwargs)
     results = {}
     meta = {}
@@ -356,7 +356,7 @@ class TestServeLoopback:
                   zip(specs, Executor(jobs=1, cache=NullCache()).run(specs))}
         daemon = _daemon(tmp_path, session_timeout=2.0)
         try:
-            address = f"127.0.0.1:{daemon.coordinator.port}"
+            address = f"127.0.0.1:{daemon.port}"
             doomed = ServeClient(address)
             doomed.connect()
             from repro.cluster.protocol import SUBMIT
@@ -381,7 +381,7 @@ class TestServeLoopback:
         serial = Executor(jobs=1, cache=NullCache()).run(specs)
         daemon = _daemon(tmp_path)
         try:
-            address = f"127.0.0.1:{daemon.coordinator.port}"
+            address = f"127.0.0.1:{daemon.port}"
 
             def executor(subdir):
                 client = ServeClient(address)
@@ -425,7 +425,7 @@ class TestServeLoopback:
 
             def attach():
                 time.sleep(0.3)
-                Worker(f"127.0.0.1:{daemon.coordinator.port}",
+                Worker(f"127.0.0.1:{daemon.port}",
                        worker_id="late", run_job=run_spec).serve()
 
             threading.Thread(target=attach, daemon=True).start()
@@ -440,7 +440,7 @@ class TestServeLoopback:
     def test_stale_salt_client_rejected(self, tmp_path):
         daemon = _daemon(tmp_path, workers=0)
         try:
-            client = ServeClient(f"127.0.0.1:{daemon.coordinator.port}",
+            client = ServeClient(f"127.0.0.1:{daemon.port}",
                                  salt="stale-tree")
             with pytest.raises(ServeRejected, match="salt"):
                 client.connect()
@@ -450,7 +450,7 @@ class TestServeLoopback:
     def test_status_reports_daemon_sessions_and_fleet(self, tmp_path):
         daemon = _daemon(tmp_path, workers=1)
         try:
-            address = f"127.0.0.1:{daemon.coordinator.port}"
+            address = f"127.0.0.1:{daemon.port}"
             client = ServeClient(address, client_id="status-probe")
             client.connect()
             try:
@@ -494,7 +494,7 @@ class TestServeTLS:
             for expected, actual in zip(serial, results):
                 assert _canon(actual) == _canon(expected)
             assert not any(info["from_store"] for info in meta.values())
-            info = query_status(f"127.0.0.1:{daemon.coordinator.port}",
+            info = query_status(f"127.0.0.1:{daemon.port}",
                                 tls=TLSConfig.client(cafile=cert))
             assert info["daemon"]["tls"] is True
         finally:
@@ -506,12 +506,23 @@ class TestServeTLS:
                          workers=0)
         try:
             bogus = "sha256:" + "0" * 64
-            client = ServeClient(f"127.0.0.1:{daemon.coordinator.port}",
+            client = ServeClient(f"127.0.0.1:{daemon.port}",
                                  tls=TLSConfig.client(fingerprint=bogus))
             with pytest.raises(OSError):
                 client.connect()
         finally:
             daemon.close()
+
+    def test_server_side_tls_ca_is_refused(self, tls_cert):
+        """No client presents a certificate, so a server cannot demand
+        one: ``--tls-ca`` stays a client-side flag."""
+        from types import SimpleNamespace
+        cert, key = tls_cert
+        args = SimpleNamespace(tls_cert=cert, tls_key=key, tls_ca=cert,
+                               tls_fingerprint=None)
+        with pytest.raises(TLSConfigError, match="--tls-ca"):
+            TLSConfig.from_args(args, server_side=True)
+        assert TLSConfig.from_args(args, server_side=False).cafile == cert
 
     def test_plaintext_client_cannot_join_tls_daemon(self, tmp_path,
                                                      tls_cert):
@@ -519,7 +530,7 @@ class TestServeTLS:
         daemon = _daemon(tmp_path, tls=TLSConfig.server(cert, key),
                          workers=0)
         try:
-            client = ServeClient(f"127.0.0.1:{daemon.coordinator.port}",
+            client = ServeClient(f"127.0.0.1:{daemon.port}",
                                  tls=False, server_timeout=3.0)
             with pytest.raises((OSError, ProtocolError)):
                 client.connect()
